@@ -78,7 +78,10 @@ let e1 () =
   let rows =
     List.map
       (fun (req, tgt, goal) ->
-        let r = Negotiation.request_str session ~requester:req ~target:tgt goal in
+        let r =
+          Strategy.negotiate_str ~strategy:Relevant session ~requester:req
+            ~target:tgt goal
+        in
         [
           Printf.sprintf "%s -> %s" req tgt;
           goal;
@@ -99,7 +102,8 @@ let e1 () =
   (* The headline transcript, as narrated in the paper. *)
   let fresh = Scenario.scenario1 () in
   let r =
-    Negotiation.request_str fresh.Scenario.s1_session ~requester:"Alice"
+    Strategy.negotiate_str ~strategy:Relevant fresh.Scenario.s1_session
+      ~requester:"Alice"
       ~target:"E-Learn" {|discountEnroll(spanish101, "Alice")|}
   in
   Printf.printf "\n  transcript of the headline negotiation:\n";
@@ -115,7 +119,8 @@ let e1 () =
 let e2 () =
   let run ?visa_limit goal =
     let s = Scenario.scenario2 ?visa_limit () in
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    Strategy.negotiate_str ~strategy:Relevant s.Scenario.s2_session
+      ~requester:"Bob"
       ~target:"E-Learn" goal
   in
   let cases =
@@ -157,7 +162,7 @@ let e3 () =
         let build () = Scenario.policy_chain ~depth () in
         let w = build () in
         let r =
-          Negotiation.request w.Scenario.cw_session
+          Reactor.negotiate w.Scenario.cw_session
             ~requester:w.Scenario.cw_requester ~target:w.Scenario.cw_owner
             w.Scenario.cw_goal
         in
@@ -165,7 +170,7 @@ let e3 () =
           time_median (fun () ->
               let w = build () in
               ignore
-                (Negotiation.request w.Scenario.cw_session
+                (Reactor.negotiate w.Scenario.cw_session
                    ~requester:w.Scenario.cw_requester
                    ~target:w.Scenario.cw_owner w.Scenario.cw_goal))
         in
@@ -196,7 +201,7 @@ let e4 () =
       (fun width ->
         let w = Scenario.fanout ~width () in
         let r =
-          Negotiation.request w.Scenario.cw_session
+          Reactor.negotiate w.Scenario.cw_session
             ~requester:w.Scenario.cw_requester ~target:w.Scenario.cw_owner
             w.Scenario.cw_goal
         in
@@ -263,7 +268,6 @@ let e5 () =
       (Session.add_peer session
          ~program:{|voucher("alice") @ "CA" $ true signedBy ["CA"].|}
          "carol");
-    Engine.attach_all session;
     session
   in
   let goal = Dlp.Parser.parse_literal {|resource("r")|} in
@@ -303,7 +307,6 @@ let e6 () =
           Chain.linear_world ~depth ~pred:"member" ~subject:"sam" ()
         in
         ignore (Session.add_peer session "client");
-        Engine.attach_all session;
         let result =
           Chain.discover session ~requester:"client" ~root
             (Dlp.Parser.parse_literal {|member("sam")|})
@@ -368,7 +371,8 @@ let e7 () =
     time_median ~runs:5 (fun () ->
         let s = Scenario.scenario1 ~config () in
         ignore
-          (Negotiation.request_str s.Scenario.s1_session ~requester:"Alice"
+          (Strategy.negotiate_str ~strategy:Relevant s.Scenario.s1_session
+             ~requester:"Alice"
              ~target:"E-Learn" {|discountEnroll(spanish101, "Alice")|}))
   in
   let with_v = nego true and without_v = nego false in
@@ -489,9 +493,9 @@ let e9 () =
     List.map
       (fun (label, guard) ->
         let session = build guard in
-        Engine.attach_all session;
         let r =
-          Negotiation.request_str session ~requester:"shop" ~target:"owner"
+          Strategy.negotiate_str ~strategy:Relevant session
+            ~requester:"shop" ~target:"owner"
             {|card(X) @ "VISA"|}
         in
         [
@@ -525,7 +529,7 @@ let e10 () =
       (fun depth ->
         let w = Scenario.policy_chain ~depth () in
         let r_ok =
-          Negotiation.request w.Scenario.cw_session
+          Reactor.negotiate w.Scenario.cw_session
             ~requester:w.Scenario.cw_requester ~target:w.Scenario.cw_owner
             w.Scenario.cw_goal
         in
@@ -534,14 +538,9 @@ let e10 () =
         Net.Network.set_down w2.Scenario.cw_session.Session.network
           w2.Scenario.cw_requester true;
         let r_fail =
-          Negotiation.measure w2.Scenario.cw_session (fun () ->
-              match
-                Engine.query w2.Scenario.cw_session
-                  ~requester:w2.Scenario.cw_requester
-                  ~target:w2.Scenario.cw_owner w2.Scenario.cw_goal
-              with
-              | [] -> Negotiation.Denied "no"
-              | i -> Negotiation.Granted i)
+          Reactor.negotiate w2.Scenario.cw_session
+            ~requester:w2.Scenario.cw_requester ~target:w2.Scenario.cw_owner
+            w2.Scenario.cw_goal
         in
         [
           string_of_int depth;
@@ -571,14 +570,14 @@ let e10 () =
   let session = Session.create () in
   ignore (Session.add_peer session ~program:owner "owner");
   ignore (Session.add_peer session ~program:requester "req");
-  Engine.attach_all session;
   let r =
-    Negotiation.request_str session ~requester:"req" ~target:"owner" {|a("o")|}
+    Strategy.negotiate_str ~strategy:Relevant session
+      ~requester:"req" ~target:"owner" {|a("o")|}
   in
   print_table
     ~title:
-      "E10b Deadlocked release policies (no safe disclosure sequence): the \
-       cycle check terminates the negotiation"
+      "E10b Deadlocked release policies (no safe disclosure sequence): \
+       quiescence terminates the negotiation"
     ~header:[ "outcome"; "msgs"; "ticks" ]
     [
       [
@@ -589,47 +588,53 @@ let e10 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* E11: synchronous engine vs queued (reactor) engine *)
+(* E11: the queued (reactor) runtime *)
 
 let e11 () =
-  (* (a) Same chain workloads under both engines. *)
+  (* (a) Policy chains, complete and missing their last credential,
+     against the 2*depth + 2 messages of depth-first recursion. *)
+  let run ?missing depth =
+    let w = Scenario.policy_chain ?missing ~depth () in
+    let stats = Net.Network.stats w.Scenario.cw_session.Session.network in
+    let before = Net.Stats.messages stats in
+    let reactor = Reactor.create w.Scenario.cw_session in
+    let id =
+      Reactor.submit reactor ~requester:"alice" ~target:"bob"
+        w.Scenario.cw_goal
+    in
+    let steps = Reactor.run reactor in
+    let ok =
+      match Reactor.outcome reactor id with
+      | Negotiation.Granted _ -> "granted"
+      | Negotiation.Denied _ -> "denied"
+    in
+    (Net.Stats.messages stats - before, steps, ok)
+  in
   let rows_a =
     List.map
       (fun depth ->
-        let w1 = Scenario.policy_chain ~depth () in
-        let sync =
-          Negotiation.request w1.Scenario.cw_session ~requester:"alice"
-            ~target:"bob" w1.Scenario.cw_goal
-        in
-        let w2 = Scenario.policy_chain ~depth () in
-        let stats = Net.Network.stats w2.Scenario.cw_session.Session.network in
-        let before = Net.Stats.messages stats in
-        let reactor = Reactor.create w2.Scenario.cw_session in
-        let id =
-          Reactor.submit reactor ~requester:"alice" ~target:"bob"
-            w2.Scenario.cw_goal
-        in
-        let steps = Reactor.run reactor in
-        let queued_msgs = Net.Stats.messages stats - before in
-        let ok =
-          match Reactor.outcome reactor id with
-          | Negotiation.Granted _ -> "granted"
-          | Negotiation.Denied _ -> "denied"
-        in
+        let msgs, steps, ok = run depth in
+        let missing_msgs, _, missing_ok = run ~missing:depth depth in
         [
           string_of_int depth;
-          string_of_int sync.Negotiation.messages;
-          string_of_int queued_msgs;
+          string_of_int msgs;
+          string_of_int ((2 * depth) + 2);
           string_of_int steps;
           ok;
+          string_of_int missing_msgs;
+          missing_ok;
         ])
       [ 1; 2; 4; 8; 16 ]
   in
   print_table
     ~title:
-      "E11a Synchronous vs queued engine on policy chains (same outcomes; \
-       the queue pays extra messages for re-evaluation fairness)"
-    ~header:[ "depth"; "sync msgs"; "queued msgs"; "queue steps"; "outcome" ]
+      "E11a Queued engine on policy chains: one sub-query per blocked \
+       evaluation, so messages match depth-first recursion (2*depth + 2)"
+    ~header:
+      [
+        "depth"; "msgs"; "2d+2"; "queue steps"; "outcome"; "missing-last msgs";
+        "outcome";
+      ]
     rows_a;
   (* (b) k interleaved negotiations over one queue. *)
   let rows_b =
@@ -724,7 +729,7 @@ let e13 () =
           List.fold_left
             (fun acc (learner, provider, goal) ->
               let r =
-                Negotiation.request session ~requester:learner ~target:provider
+                Reactor.negotiate session ~requester:learner ~target:provider
                   goal
               in
               if Negotiation.succeeded r then acc + 1 else acc)
@@ -971,9 +976,10 @@ let crash_bench () =
       peer.Peer.certs []
     |> List.sort compare
   in
-  let fault_free_wallets =
+  let fault_free_wallets, latency =
     (* each peer's certificate wallet after one clean run — the
-       durability target a journalled victim must recover to *)
+       durability target a journalled victim must recover to — and the
+       run's latency in ticks *)
     let s = Scenario.scenario1 ~key_bits:288 () in
     let session = s.Scenario.s1_session in
     let reactor = Reactor.create session in
@@ -985,7 +991,8 @@ let crash_bench () =
     (match Reactor.outcome reactor id with
     | Negotiation.Granted _ -> ()
     | Negotiation.Denied r -> fail "fault-free scenario denied (%s)" r);
-    List.map (fun n -> (n, wallet_serials session n)) [ "Alice"; "E-Learn" ]
+    ( List.map (fun n -> (n, wallet_serials session n)) [ "Alice"; "E-Learn" ],
+      Net.Clock.now (Net.Network.clock session.Session.network) )
   in
   let rows =
     List.concat_map
@@ -1003,11 +1010,14 @@ let crash_bench () =
                  restart before the counterparties' retry budgets drain,
                  2 = restart only after they drain (exercising the
                  suspend-and-reissue path), 4 = crash long after
-                 settlement (durability of a settled world) *)
+                 settlement (durability of a settled world); all but
+                 the last crash inside the fault-free latency *)
               let sel = i mod 5 in
               let restarts = sel <> 0 in
               let late = sel = 4 in
-              let at_tick = if late then 60 + i else 2 + (i mod 7) in
+              let at_tick =
+                if late then 60 + i else 2 + (i mod (latency - 2))
+              in
               let restart_tick =
                 if not restarts then max_int
                 else if sel = 2 then at_tick + 135 + (i mod 7)
@@ -1094,7 +1104,7 @@ let crash_bench () =
     let session = s.Scenario.s1_session in
     (* odd runs kill the responder (the Cancels die in transit with
        it); even runs leave everyone alive but set a deadline tighter
-       than the negotiation latency, so the Cancel reaches the live
+       than the fault-free run's latency, so the Cancel reaches the live
        responder and withdraws its parked goal *)
     let deadline =
       let faults = Net.Faults.none () in
@@ -1109,7 +1119,7 @@ let crash_bench () =
              (arming retransmission timers) without touching the flow *)
           Net.Faults.add_crash faults ~peer:"ELENA" ~at_tick:200
             ~restart_tick:max_int;
-          4 + i
+          latency - 1 - (i / 2)
         end
       in
       Net.Network.set_faults session.Session.network faults;
@@ -1275,51 +1285,6 @@ let cache_bench () =
 
 let resolution_smoke = ref false
 let resolution_kb_size : int option ref = ref None
-
-(* Map-based reference resolution engine: persistent substitution maps and
-   rename-apart rules, no binding trail — the pre-interning algorithm kept
-   as an answer-set oracle for the trailed core.  Pure Datalog (no
-   externals, remotes, or NAF): exactly what the resolution workloads
-   exercise. *)
-module Ref_sld = struct
-  let answers ~max_depth ~self kb goals =
-    let initial = Dlp.Subst.bind "Self" (Dlp.Term.str self) Dlp.Subst.empty in
-    let results = ref [] in
-    let rec prove goal subst depth k =
-      if depth <= 0 then ()
-      else
-        let goal = Dlp.Literal.apply subst goal in
-        match Dlp.Builtin.eval goal subst with
-        | Some substs -> List.iter k substs
-        | None ->
-            List.iter
-              (fun rule ->
-                let r = Dlp.Rule.rename_apart rule in
-                match Dlp.Literal.unify goal r.Dlp.Rule.head subst with
-                | None -> ()
-                | Some s' -> prove_all r.Dlp.Rule.body s' (depth - 1) k)
-              (Dlp.Kb.matching goal kb)
-    and prove_all goals subst depth k =
-      match goals with
-      | [] -> k subst
-      | g :: rest -> prove g subst depth (fun s' -> prove_all rest s' depth k)
-    in
-    let qvars =
-      List.concat_map Dlp.Literal.vars goals
-      |> List.filter (fun v -> not (Dlp.Term.is_pseudo v))
-    in
-    prove_all goals initial max_depth (fun s ->
-        results := Dlp.Subst.restrict qvars s :: !results);
-    let seen = Hashtbl.create 64 in
-    List.rev !results
-    |> List.filter (fun s ->
-           let key = Dlp.Subst.to_string s in
-           if Hashtbl.mem seen key then false
-           else begin
-             Hashtbl.add seen key ();
-             true
-           end)
-end
 
 let kb_of_buf f =
   let buf = Buffer.create 4096 in
@@ -1516,8 +1481,9 @@ let resolution () =
           ( (fun () ->
               for _ = 1 to scale 30 3 do
                 ignore
-                  (Negotiation.request_str w.Scenario.s1_session
-                     ~requester:"Alice" ~target:"E-Learn" goal)
+                  (Strategy.negotiate_str ~strategy:Relevant
+                     w.Scenario.s1_session ~requester:"Alice"
+                     ~target:"E-Learn" goal)
               done),
             None ) );
       ( "tabled_transitive",
@@ -1563,7 +1529,7 @@ let resolution () =
     ~header:[ "workload"; "ms/run"; "kwords/run"; "differential" ]
     rows;
   (* Differential gate: the engine's answers on each SLD workload must
-     match the map-based reference resolution engine. *)
+     match the map-based reference resolver, as sets. *)
   if smoke then
     List.iter
       (fun (name, (kb, goals, max_depth)) ->
@@ -1572,7 +1538,8 @@ let resolution () =
             (sld_answers ~max_solutions:100_000 ~max_depth kb goals)
         in
         let reference =
-          answer_key (Ref_sld.answers ~max_depth ~self:"bench" kb goals)
+          answer_key
+            (Peertrust_oracle.Oracle.answers ~max_depth ~self:"bench" kb goals)
         in
         if engine <> reference then begin
           Printf.eprintf
@@ -1687,7 +1654,8 @@ let micro () =
   let signature = Crypto.Rsa.sign kp "payload" in
   let warm = Scenario.scenario1 () in
   ignore
-    (Negotiation.request_str warm.Scenario.s1_session ~requester:"Alice"
+    (Strategy.negotiate_str ~strategy:Relevant warm.Scenario.s1_session
+       ~requester:"Alice"
        ~target:"E-Learn" {|discountEnroll(spanish101, "Alice")|});
   let tests =
     [
@@ -1718,8 +1686,8 @@ let micro () =
       Test.make ~name:"negotiation (warm cache)"
         (Staged.stage (fun () ->
              ignore
-               (Negotiation.request_str warm.Scenario.s1_session
-                  ~requester:"Alice" ~target:"E-Learn"
+               (Strategy.negotiate_str ~strategy:Relevant
+                  warm.Scenario.s1_session ~requester:"Alice" ~target:"E-Learn"
                   {|discountEnroll(spanish101, "Alice")|})));
     ]
   in

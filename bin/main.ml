@@ -125,7 +125,6 @@ type fault_opts = {
   fo_outages : (string * int * int) list;
   fo_crashes : (string * int * int) list;
   fo_journal : string option;
-  fo_queued : bool;
 }
 
 let fault_opts_term =
@@ -211,19 +210,11 @@ let fault_opts_term =
           ~doc:
             "Keep per-peer write-ahead journals under DIR (created on \
              demand) and replay them at restart, so crashed peers recover \
-             learned credentials and unfinished goals; implies the queued \
-             engine.")
-  in
-  let queued =
-    Arg.(
-      value & flag
-      & info [ "queued" ]
-          ~doc:
-            "Run over the queued (reactor) engine even without faults; \
-             implied by any fault flag.")
+             learned credentials and unfinished goals; implies the \
+             relevant strategy.")
   in
   let make fo_seed fo_drop fo_duplicate fo_delay fo_delay_max fo_reorder
-      fo_outages fo_crashes fo_journal fo_queued =
+      fo_outages fo_crashes fo_journal =
     {
       fo_seed;
       fo_drop;
@@ -234,12 +225,11 @@ let fault_opts_term =
       fo_outages;
       fo_crashes;
       fo_journal;
-      fo_queued;
     }
   in
   Term.(
     const make $ seed $ drop $ duplicate $ delay $ delay_max $ reorder
-    $ outages $ crashes $ journal $ queued)
+    $ outages $ crashes $ journal)
 
 (* ------------------------------------------------------------------ *)
 (* Guard and adversary flags shared by negotiate and scenario *)
@@ -259,7 +249,7 @@ let guard_opts_term =
           ~doc:
             "Enable the inbound guard layer at every peer: payload checks, \
              per-requester rate limits and work quotas, and a quarantine \
-             circuit breaker (implies the queued engine; implied by \
+             circuit breaker (implies the relevant strategy; implied by \
              --rate/--quota/--quarantine).")
   in
   let rate =
@@ -316,7 +306,7 @@ let adversary_arg =
     & info [ "adversary" ] ~docv:"PEER:BEHAVIORS"
         ~doc:
           "Attach a misbehaving peer, e.g. mallory:flood,malformed or \
-           trudy:bomb=40 (repeatable; implies the queued engine).  \
+           trudy:bomb=40 (repeatable; implies the relevant strategy).  \
            Behaviors: flood[=N], malformed[=N], unsolicited[=N], replay, \
            forged, oversized[=BYTES], bomb[=DEPTH].")
 
@@ -373,8 +363,8 @@ let cache_opts_term =
       value & flag
       & info [ "cache" ]
           ~doc:
-            "Enable the cross-negotiation answer cache (implies the queued \
-             reactor engine).")
+            "Enable the cross-negotiation answer cache (implies the \
+             relevant strategy).")
   in
   let no_cache =
     Arg.(
@@ -408,14 +398,13 @@ let tabling_arg =
     & info [ "tabling" ]
         ~doc:
           "Evaluate goals through the distributed tabling engine (implies \
-           the queued reactor engine): one table per goal at its owning \
+           the relevant strategy): one table per goal at its owning \
            peer, with GEM-style termination detection, so mutually \
            recursive cross-peer policies terminate with their complete \
            answer sets.")
 
 (* The reactor configuration implied by the cache, tabling and journal
-   flags; [None] leaves engine selection to the default (byte-identical)
-   path. *)
+   flags; [None] is the default configuration. *)
 let reactor_config ~cache ~tabling ~journal =
   let journal =
     match journal with
@@ -435,8 +424,7 @@ let print_cache_summary =
         (Answer_cache.invalidations c))
 
 (* Install the requested fault plan on the session network.  Returns
-   [true] when the run should go through the queued (reactor) engine —
-   i.e. when any fault is configured or --queued was passed. *)
+   [true] when a fault plan or a journal needs the reactor. *)
 let install_faults session o =
   let has_rates =
     o.fo_drop > 0. || o.fo_duplicate > 0. || o.fo_delay > 0.
@@ -476,7 +464,7 @@ let install_faults session o =
      exit 1);
   let active = not (Peertrust_net.Faults.is_none plan) in
   if active then Peertrust_net.Network.set_faults session.Session.network plan;
-  active || o.fo_queued || o.fo_journal <> None
+  active || o.fo_journal <> None
 
 let read_file path =
   let ic = open_in_bin path in
@@ -625,7 +613,6 @@ let negotiate_cmd =
             let file = String.sub spec (i + 1) (String.length spec - i - 1) in
             ignore (Session.add_peer session ~program:(read_file file) name))
       peer_specs;
-    Engine.attach_all session;
     (* Import a credential wallet into the requester. *)
     Option.iter
       (fun file ->
@@ -647,7 +634,7 @@ let negotiate_cmd =
     in
     let cache = resolve_cache cache_opts in
     let adversaries = parse_adversaries adversary_specs in
-    let queued =
+    let reactor_only =
       install_faults session fault_opts
       || cache <> None || tabling || guarded || adversaries <> []
     in
@@ -656,10 +643,10 @@ let negotiate_cmd =
         session
     in
     let report =
-      (* Faulted (cached, tabled, guarded, adversarial) runs go through
-         the queued reactor (the engine with retransmission, timeouts and
-         the inbound guard); it negotiates relevant-style. *)
-      if queued then
+      (* The reactor negotiates relevant-style; faulted (cached, tabled,
+         guarded, adversarial, journalled) runs need it whatever the
+         strategy. *)
+      if strategy = Strategy.Relevant || reactor_only then
         Reactor.negotiate
           ?config:(reactor_config ~cache ~tabling ~journal:fault_opts.fo_journal)
           ~adversaries session ~requester ~target
@@ -805,7 +792,8 @@ let world_cmd =
             let requester = required "requester" requester in
             let target = required "target" target in
             let report =
-              Negotiation.request_str session ~requester ~target goal
+              Strategy.negotiate_str session ~strategy:Relevant ~requester
+                ~target goal
             in
             Format.printf "%a@." Negotiation.pp_report report;
             Option.iter
@@ -991,10 +979,7 @@ let scenario_cmd =
        negotiations run warm. *)
     let cache = resolve_cache cache_opts in
     let adversaries = parse_adversaries adversary_specs in
-    let queued =
-      install_faults session fault_opts
-      || cache <> None || tabling || guarded || adversaries <> []
-    in
+    ignore (install_faults session fault_opts : bool);
     let config =
       reactor_config ~cache ~tabling ~journal:fault_opts.fo_journal
     in
@@ -1008,10 +993,8 @@ let scenario_cmd =
           List.iter
             (fun (requester, target, goal) ->
               show
-                (if queued then
-                   Reactor.negotiate ?config ~adversaries session ~requester
-                     ~target goal
-                 else Negotiation.request session ~requester ~target goal))
+                (Reactor.negotiate ?config ~adversaries session ~requester
+                   ~target goal))
             goals
         done;
         print_cache_summary cache;

@@ -33,10 +33,6 @@ if grep -q '"cache.hits":0[,}]' "$cache_metrics"; then
   exit 1
 fi
 
-# Resolution smoke: the scaled resolution-core workloads once, with the
-# engine's answer sets diffed against the map-based reference engine.
-./_build/default/bench/main.exe resolution --smoke > /dev/null
-
 # Adversary smoke: scenario 1 with misbehaving peers and guards on; the
 # bench hard-fails if an honest negotiation is lost, a flooding/malformed
 # adversary escapes quarantine, or an honest peer is quarantined.  The
@@ -90,21 +86,25 @@ rm -rf "$journal_dir"
   --metrics-dir "$bench_dir" > /dev/null
 ./_build/default/bench/main.exe diff --against-seed crash_smoke \
   "$bench_dir/BENCH_crash.json"
+# Histograms that recorded nothing (e.g. the local tabled engine's, which
+# bench crash never enters) must not be emitted.
+if grep -q '"tabled.tables_per_query"' "$bench_dir/BENCH_crash.json"; then
+  echo "bench crash: empty histogram leaked into the artifact" >&2
+  exit 1
+fi
 
-# Bench-regression gate: the smoke resolution metrics must stay inside
-# the per-metric tolerance bands of the committed seed baseline, and the
-# diff tool must catch an injected 2x inflation (self-test).
+# Resolution smoke and bench-regression gate: the scaled resolution-core
+# workloads once, with the engine's answer sets diffed against the
+# reference resolver; their metrics must stay inside the per-metric
+# tolerance bands of the committed seed baseline, and the diff tool must
+# catch an injected 2x inflation (self-test).  The artifact goes to the
+# scratch dir so the committed full-scale BENCH_resolution.json survives.
 ./_build/default/bench/main.exe resolution --smoke \
   --metrics-dir "$bench_dir" > /dev/null
 # The million-fact workloads (scaled down under --smoke) must have
-# reported their gauges, and histograms that recorded nothing (e.g. the
-# reactor's, which bench resolution never enters) must not be emitted.
+# reported their gauges.
 grep -q '"resolution.ground_lookup.ms"' "$bench_dir/BENCH_resolution.json"
 grep -q '"resolution.indexed_million.ms"' "$bench_dir/BENCH_resolution.json"
-if grep -q '"reactor.steps_per_run"' "$bench_dir/BENCH_resolution.json"; then
-  echo "bench resolution: empty histogram leaked into the artifact" >&2
-  exit 1
-fi
 ./_build/default/bench/main.exe diff --against-seed resolution_smoke \
   "$bench_dir/BENCH_resolution.json"
 if ./_build/default/bench/main.exe diff --against-seed resolution_smoke \

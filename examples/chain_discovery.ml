@@ -23,7 +23,6 @@ let () =
     Chain.linear_world ~depth ~pred:"accredited" ~subject:"tech_university" ()
   in
   ignore (Session.add_peer session "bob");
-  Engine.attach_all session;
 
   Format.printf "Delegation chain: %s -> ... -> %s (%d hops)@.@." root last
     depth;

@@ -25,11 +25,11 @@ let () =
     (Session.add_peer session
        ~program:{|subscriber("phone") @ "Publisher" $ true signedBy ["Publisher"].|}
        "laptop");
-  Engine.attach_all session;
   ignore (Proxy.attach_device session ~device:"phone" ~proxy:"laptop");
 
   let r =
-    Negotiation.request_str session ~requester:"phone" ~target:"journal"
+    Strategy.negotiate_str ~strategy:Relevant session
+      ~requester:"phone" ~target:"journal"
       "paper(Id)"
   in
   Format.printf "phone requests a paper: %a@." Negotiation.pp_report r;

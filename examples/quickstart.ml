@@ -34,11 +34,11 @@ let () =
         get certificates from the simulated PKI. *)
   let _library = Session.add_peer session ~program:library_program "library" in
   let _reader = Session.add_peer session ~program:reader_program "reader" in
-  Engine.attach_all session;
 
   (* 3. Negotiate: the reader asks for the catalogue. *)
   let report =
-    Negotiation.request_str session ~requester:"reader" ~target:"library"
+    Strategy.negotiate_str ~strategy:Relevant session
+      ~requester:"reader" ~target:"library"
       "catalogue(Doc)"
   in
   Format.printf "Outcome: %a@.@." Negotiation.pp_report report;
@@ -54,9 +54,9 @@ let () =
 
   (* 5. A stranger without the card is refused. *)
   ignore (Session.add_peer session "stranger");
-  Engine.attach_all session;
   let refused =
-    Negotiation.request_str session ~requester:"stranger" ~target:"library"
+    Strategy.negotiate_str ~strategy:Relevant session
+      ~requester:"stranger" ~target:"library"
       "catalogue(Doc)"
   in
   Format.printf "@.Stranger: %a@." Negotiation.pp_report refused

@@ -35,14 +35,16 @@ let () =
 
   (* The successful negotiation. *)
   let ok =
-    Negotiation.request_str session ~requester:s.Scenario.s1_alice
+    Strategy.negotiate_str ~strategy:Relevant session
+      ~requester:s.Scenario.s1_alice
       ~target:s.Scenario.s1_elearn {|discountEnroll(spanish101, "Alice")|}
   in
   show_report "Alice requests the discounted Spanish course" ok;
 
   (* What E-Learn cannot do: query UIUC directly about Alice. *)
   let refused =
-    Negotiation.request_str session ~requester:s.Scenario.s1_elearn
+    Strategy.negotiate_str ~strategy:Relevant session
+      ~requester:s.Scenario.s1_elearn
       ~target:s.Scenario.s1_uiuc {|student("Alice")|}
   in
   show_report "E-Learn tries to ask UIUC directly (refused)" refused;
@@ -51,7 +53,7 @@ let () =
      third party can check without re-running the negotiation. *)
   let alice = Session.peer session s.Scenario.s1_alice in
   let goal = Dlp.Parser.parse_literal {|student("Alice") @ "UIUC"|} in
-  match Engine.evaluate session alice [ goal ] with
+  match Engine.evaluate alice [ goal ] with
   | { Dlp.Sld.proofs = [ trace ]; _ } :: _ -> (
       let proof = Proof.create session ~prover:"Alice" ~goal trace in
       Format.printf "Certified proof of student status:@.%a@." Dlp.Trace.pp

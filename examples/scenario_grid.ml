@@ -19,7 +19,8 @@ let () =
   let session = g.Scenario.g_session in
 
   let submit q cores =
-    Negotiation.request_str session ~requester:g.Scenario.g_user
+    Strategy.negotiate_str ~strategy:Relevant session
+      ~requester:g.Scenario.g_user
       ~target:g.Scenario.g_cluster
       (Printf.sprintf {|submit(%s, "%s", %d)|} q g.Scenario.g_user cores)
   in
@@ -44,9 +45,9 @@ let () =
          {|submit(Queue, Requester, Cores) $ true <-
              voMember(Requester) @ "PhysicsVO" @ Requester.|}
        "rogue");
-  Engine.attach_all session;
   let rogue =
-    Negotiation.request_str session ~requester:"ada" ~target:"rogue"
+    Strategy.negotiate_str ~strategy:Relevant session
+      ~requester:"ada" ~target:"rogue"
       {|submit(q, "ada", 1)|}
   in
   Format.printf "@.rogue cluster: %a@." Negotiation.pp_report rogue

@@ -26,30 +26,35 @@ let () =
   in
 
   show "Free course (cs101)"
-    (Negotiation.request_str session ~requester:"Bob" ~target:"E-Learn"
+    (Strategy.negotiate_str ~strategy:Relevant session
+       ~requester:"Bob" ~target:"E-Learn"
        {|enroll(cs101, "Bob", "IBM", Email, 0)|});
 
   show "Pay-per-use course (cs411, $1000)"
-    (Negotiation.request_str session ~requester:"Bob" ~target:"E-Learn"
+    (Strategy.negotiate_str ~strategy:Relevant session
+       ~requester:"Bob" ~target:"E-Learn"
        (enroll "cs411"));
 
   show "Course over Bob's $2000 authorization (cs500, $3000) — denied"
-    (Negotiation.request_str session ~requester:"Bob" ~target:"E-Learn"
+    (Strategy.negotiate_str ~strategy:Relevant session
+       ~requester:"Bob" ~target:"E-Learn"
        (enroll "cs500"));
 
   show "Asking for the private eligibility rule directly — denied"
-    (Negotiation.request_str session ~requester:"Bob" ~target:"E-Learn"
+    (Strategy.negotiate_str ~strategy:Relevant session
+       ~requester:"Bob" ~target:"E-Learn"
        {|freebieEligible(cs101, "Bob", "IBM", Email)|});
 
   (* A tight-fisted VISA: the card is fine but the approval call fails. *)
   let s' = Scenario.scenario2 ~visa_limit:500 () in
   show "Same purchase with a $500 credit limit — denied at VISA"
-    (Negotiation.request_str s'.Scenario.s2_session ~requester:"Bob"
+    (Strategy.negotiate_str ~strategy:Relevant s'.Scenario.s2_session
+       ~requester:"Bob"
        ~target:"E-Learn" (enroll "cs411"));
 
   (* An outsider cannot learn the card exists. *)
   ignore (Session.add_peer session "Eve");
-  Engine.attach_all session;
   show "Eve asks Bob for the VISA card — denied"
-    (Negotiation.request_str session ~requester:"Eve" ~target:"Bob"
+    (Strategy.negotiate_str ~strategy:Relevant session
+       ~requester:"Eve" ~target:"Bob"
        {|visaCard("IBM") @ "VISA"|})

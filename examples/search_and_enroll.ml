@@ -47,7 +47,6 @@ let () =
   make_provider session "courseware" [ ("spanish1", 900); ("french1", 2400) ];
   make_provider session "acme_learn" [ ("spanish2", 700); ("latin1", 5000) ];
   ignore (Session.add_peer session ~program:learner_program "lea");
-  Engine.attach_all session;
 
   (* Step 1: metadata search across providers. *)
   let query = Qel.parse "C, P <- price(C, P), P < 1000" in
@@ -87,7 +86,8 @@ let () =
       Format.printf "@.Cheapest: %s at %s ($%d) — negotiating enrolment@.@."
         course provider price;
       let report =
-        Negotiation.request_str session ~requester:"lea" ~target:provider
+        Strategy.negotiate_str ~strategy:Relevant session
+          ~requester:"lea" ~target:provider
           (Printf.sprintf {|enroll(%s, "lea")|} course)
       in
       Format.printf "%a@.@." Negotiation.pp_report report;

@@ -23,7 +23,6 @@ let () =
     (Session.add_peer session
        ~program:{|student("alice") @ "University" $ true signedBy ["University"].|}
        "alice");
-  Engine.attach_all session;
   let audit = Audit.create () in
   Audit.attach audit session;
 

@@ -19,34 +19,22 @@ let create () = { log = [] }
 let record t ~at ~peer ~requester ~goal ~decision ~credentials =
   t.log <- { at; peer; requester; goal; decision; credentials } :: t.log
 
-let wrap t session peer_name (inner : Net.Network.handler) :
-    Net.Network.handler =
- fun ~from payload ->
-  let response = inner ~from payload in
-  (match (payload, response) with
-  | Net.Message.Query { goal }, Net.Message.Answer { certs; _ } ->
-      record t
-        ~at:(Net.Clock.now (Net.Network.clock session.Session.network))
-        ~peer:peer_name ~requester:from ~goal ~decision:Grant
-        ~credentials:
-          (List.map (fun (c : Peertrust_crypto.Cert.t) -> c.Peertrust_crypto.Cert.serial) certs)
-  | Net.Message.Query { goal }, Net.Message.Deny { reason; _ } ->
-      record t
-        ~at:(Net.Clock.now (Net.Network.clock session.Session.network))
-        ~peer:peer_name ~requester:from ~goal ~decision:(Deny reason)
-        ~credentials:[]
-  | _, _ -> ());
-  response
-
 let attach t session =
-  (* Re-register every peer with an auditing wrapper around the standard
-     engine handler. *)
-  Hashtbl.iter
-    (fun name peer ->
-      ignore peer;
-      let base = Engine.handler_for session (Session.peer session name) in
-      Net.Network.register session.Session.network name (wrap t session name base))
-    session.Session.peers
+  let net = session.Session.network in
+  Net.Network.observe net (fun ~from ~target payload ->
+      let at = Net.Clock.now (Net.Network.clock net) in
+      match payload with
+      | Net.Message.Answer { goal; certs; _ } ->
+          record t ~at ~peer:from ~requester:target ~goal ~decision:Grant
+            ~credentials:
+              (List.map
+                 (fun (c : Peertrust_crypto.Cert.t) ->
+                   c.Peertrust_crypto.Cert.serial)
+                 certs)
+      | Net.Message.Deny { goal; reason } ->
+          record t ~at ~peer:from ~requester:target ~goal
+            ~decision:(Deny reason) ~credentials:[]
+      | _ -> ())
 
 let entries t = List.rev t.log
 let for_peer t name = List.filter (fun e -> String.equal e.peer name) (entries t)

@@ -25,9 +25,9 @@ type t
 val create : unit -> t
 
 val attach : t -> Session.t -> unit
-(** Wrap every registered peer's network handler so that queries and their
-    outcomes are recorded.  Call after {!Engine.attach_all} (and re-call
-    after handlers are replaced). *)
+(** Observe the session network: every reply a peer sends to a query is
+    recorded — an answer as a grant, a denial with its reason.  Attach
+    once per session. *)
 
 val record :
   t -> at:int -> peer:string -> requester:string -> goal:Literal.t ->

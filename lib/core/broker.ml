@@ -17,15 +17,18 @@ let add_broker session ~name ~directory =
       (* Publicly queryable directory entry. *)
       Peer.add_rule peer { fact with Rule.head_ctx = Some [] })
     directory;
-  Engine.attach session peer;
   peer
 
 let lookup session ~requester ~broker ~pred =
   let goal =
     Literal.make "authority" [ Term.atom pred; Term.var "Authority" ]
   in
-  Engine.query session ~requester ~target:broker goal
-  |> List.filter_map (fun ((inst : Literal.t), _) ->
-         match inst.Literal.args with
-         | [ _; a ] -> Term.const_name a
-         | _ -> None)
+  match (Reactor.negotiate session ~requester ~target:broker goal).outcome with
+  | Negotiation.Denied _ -> []
+  | Negotiation.Granted instances ->
+      List.filter_map
+        (fun ((inst : Literal.t), _) ->
+          match inst.Literal.args with
+          | [ _; a ] -> Term.const_name a
+          | _ -> None)
+        instances

@@ -29,9 +29,9 @@ val install_directory : Peer.t -> (string * string) list -> unit
 val add_broker :
   Session.t -> name:string -> directory:(string * string) list -> Peer.t
 (** Create a broker peer whose directory is publicly queryable
-    ([authority/2 $ true]) and attach it to the network. *)
+    ([authority/2 $ true]). *)
 
 val lookup :
   Session.t -> requester:string -> broker:string -> pred:string ->
   string list
-(** Ask a broker which authorities serve [pred]. *)
+(** Ask a broker which authorities serve [pred] (one negotiation). *)

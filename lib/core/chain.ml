@@ -16,7 +16,7 @@ let discover session ~requester ~root goal =
   let peer = Session.peer session requester in
   let before = cert_serials peer in
   let decorated = Literal.push_authority goal (Term.str root) in
-  let report = Negotiation.request session ~requester ~target:root decorated in
+  let report = Reactor.negotiate session ~requester ~target:root decorated in
   let chain =
     Hashtbl.fold
       (fun _ (c : Peertrust_crypto.Cert.t) acc ->
@@ -31,13 +31,7 @@ let discover session ~requester ~root goal =
 let linear_world ?session ~depth ~pred ~subject () =
   if depth < 1 then invalid_arg "Chain.linear_world: depth must be >= 1";
   let session =
-    match session with
-    | Some s -> s
-    | None ->
-        let config =
-          { Session.default_config with Session.max_hops = (2 * depth) + 10 }
-        in
-        Session.create ~config ()
+    match session with Some s -> s | None -> Session.create ()
   in
   let auth i = Printf.sprintf "auth%d" i in
   for i = 0 to depth - 1 do
@@ -53,5 +47,4 @@ let linear_world ?session ~depth ~pred ~subject () =
       (auth depth)
   in
   ignore (Session.add_peer session ~program:last_program (auth depth));
-  Engine.attach_all session;
   (session, auth 0, auth depth)

@@ -1,5 +1,4 @@
 open Peertrust_dlp
-module Net = Peertrust_net
 module Crypto = Peertrust_crypto
 module Obs = Peertrust_obs.Obs
 module Metric = Peertrust_obs.Metric
@@ -14,7 +13,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let fresh_counter = ref 0
 
-let m_queries = Obs.counter "engine.queries"
 let m_answers = Obs.counter "engine.answers"
 let m_denials = Obs.counter "engine.denials"
 let m_certs_learned = Obs.counter "engine.certs_learned"
@@ -42,85 +40,27 @@ let learn ?from_ session peer certs =
       end)
     certs
 
-(* Remote dispatch used from inside a peer's local SLD evaluation: pop the
-   outermost authority and ship the literal to that peer. *)
-let rec remote_callback session peer ~target lit =
-  Metric.incr m_queries;
-  let run () =
-    if !(session.Session.depth) >= session.Session.config.Session.max_hops
-    then []
-    else begin
-      incr session.Session.depth;
-      Fun.protect
-        ~finally:(fun () -> decr session.Session.depth)
-        (fun () ->
-          match
-            Net.Network.send session.Session.network ~from:peer.Peer.name
-              ~target
-              (Net.Message.Query { goal = lit })
-          with
-          | exception Net.Network.Unreachable _ -> []
-          | Net.Message.Answer { instances; certs; _ } ->
-              learn ~from_:target session peer certs;
-              (* Cache each received instance as a "[target] says" fact —
-                 the paper's axiom converting a literal received from peer P
-                 into [lit @ P] — so later goals about it resolve locally. *)
-              List.iter
-                (fun (inst, _) ->
-                  if Literal.is_ground inst then
-                    Peer.add_rule peer
-                      (Rule.fact
-                         (Literal.push_authority inst (Term.str target))))
-                instances;
-              instances
-          | Net.Message.Deny _ | Net.Message.Disclosure _ | Net.Message.Ack
-          | Net.Message.Query _ | Net.Message.Batch _ | Net.Message.Raw _
-          | Net.Message.Tquery _ | Net.Message.Tanswer _ | Net.Message.Tprobe _
-          | Net.Message.Tstat _ | Net.Message.Tcomplete _
-          | Net.Message.Cancel _ ->
-              [])
-    end
-  in
-  let tracer = Obs.tracer () in
-  if Otracer.enabled tracer then
-    Otracer.with_span tracer
-      ~attrs:
-        [
-          ("requester", Ojson.Str peer.Peer.name);
-          ("target", Ojson.Str target);
-          ("goal", Ojson.Str (Literal.to_string lit));
-        ]
-      "query" run
-  else run ()
-
-and evaluate ?(allow_remote = true) ?remote ?solutions ?requester session
-    peer goals =
+(* Local evaluation over the peer's own knowledge; [remote] (default:
+   none) is consulted for goals whose outermost authority is another
+   peer. *)
+let evaluate ?remote ?solutions ?requester peer goals =
   let bindings =
     match requester with
     | Some r -> [ ("Requester", Term.str r) ]
     | None -> []
-  in
-  let remote =
-    match remote with
-    | Some r -> r
-    | None ->
-        if allow_remote then remote_callback session peer
-        else fun ~target:_ _ -> []
   in
   let options =
     match solutions with
     | None -> peer.Peer.options
     | Some n -> { peer.Peer.options with Sld.max_solutions = n }
   in
-  Sld.solve ~options ~externals:peer.Peer.externals ~remote ~bindings
+  Sld.solve ~options ~externals:peer.Peer.externals ?remote ~bindings
     ~self:peer.Peer.name peer.Peer.kb goals
 
-let prover ?allow_remote ?remote session peer : Policy.prover =
+let prover ?remote peer : Policy.prover =
  fun ~requester goals ->
   (* One witness suffices to grant a release. *)
-  match
-    evaluate ?allow_remote ?remote ~solutions:1 ~requester session peer goals
-  with
+  match evaluate ?remote ~solutions:1 ~requester peer goals with
   | [] -> None
   | a :: _ -> Some a
 
@@ -170,16 +110,17 @@ let dedup_certs certs =
 
 (* Certificates backing the signed rules used in the given proofs, plus
    [extra] rules (the top-level rule when it is itself signed), filtered by
-   their release policies towards [requester]. *)
-let releasable_proof_certs ?allow_remote ?remote session peer ~requester
-    proofs extra =
+   their release policies towards [requester].  A certificate the requester
+   itself sent is never echoed back to it. *)
+let releasable_proof_certs ?remote peer ~requester proofs extra =
   let used = Trace.credentials_of_list proofs @ extra in
-  let prover = prover ?allow_remote ?remote session peer in
+  let prover = prover ?remote peer in
   let self = peer.Peer.name in
   used
   |> List.filter_map (fun rule ->
          match Peer.cert_for peer rule with
          | None -> None
+         | Some cert when Peer.cert_origin peer cert = Some requester -> None
          | Some cert -> (
              match
                Policy.credential_releasable ~prover ~kb:peer.Peer.kb ~requester
@@ -189,245 +130,210 @@ let releasable_proof_certs ?allow_remote ?remote session peer ~requester
              | Policy.Denied _ -> None))
   |> dedup_certs
 
-let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
-  if not (Peer.enter peer ~requester goal) then Error "cycle"
-  else
-    Fun.protect
-      ~finally:(fun () -> Peer.leave peer ~requester goal)
-      (fun () ->
-        let self = peer.Peer.name in
-        let config = session.Session.config in
-        let serials_before =
-          Hashtbl.fold
-            (fun _ (c : Crypto.Cert.t) acc -> c.Crypto.Cert.serial :: acc)
-            peer.Peer.certs []
+let answer_body ?remote session peer ~requester goal =
+  let self = peer.Peer.name in
+  let config = session.Session.config in
+  let bindings =
+    Subst.bind "Requester" (Term.str requester)
+      (Subst.bind "Self" (Term.str self) Subst.empty)
+  in
+  let results = ref [] (* (instance, proofs) *) in
+  let certs = ref [] in
+  let saw_release_rule = ref false in
+  let consider rule =
+    match rule.Rule.head_ctx with
+    | None -> ()
+    | Some _ ->
+        saw_release_rule := true;
+        incr fresh_counter;
+        let r =
+          Rule.rename ~suffix:(Printf.sprintf "~e%d" !fresh_counter) rule
         in
-        let bindings =
-          Subst.bind "Requester" (Term.str requester)
-            (Subst.bind "Self" (Term.str self) Subst.empty)
+        let ctx = Option.value ~default:[] r.Rule.head_ctx in
+        let ctx_builtin, ctx_rest = split_ctx ctx in
+        let heads =
+          r.Rule.head
+          ::
+          (if Rule.is_signed r then
+             List.map
+               (fun a -> Literal.push_authority r.Rule.head (Term.str a))
+               r.Rule.signer
+           else [])
         in
-        let results = ref [] (* (instance, proofs) *) in
-        let certs = ref [] in
-        let saw_release_rule = ref false in
-        let consider rule =
-          match rule.Rule.head_ctx with
-          | None -> ()
-          | Some _ ->
-              saw_release_rule := true;
-              incr fresh_counter;
-              let r =
-                Rule.rename ~suffix:(Printf.sprintf "~e%d" !fresh_counter) rule
-              in
-              let ctx = Option.value ~default:[] r.Rule.head_ctx in
-              let ctx_builtin, ctx_rest = split_ctx ctx in
-              let heads =
-                r.Rule.head
-                ::
-                (if Rule.is_signed r then
-                   List.map
-                     (fun a -> Literal.push_authority r.Rule.head (Term.str a))
-                     r.Rule.signer
-                 else [])
-              in
-              let try_head head =
-                if List.length !results >= config.Session.max_answers then ()
-                else
-                  match Literal.unify goal head bindings with
-                  | None -> ()
-                  | Some s0 ->
-                      let pre_goals =
-                        List.map (Literal.apply s0) (ctx_builtin @ r.Rule.body)
-                      in
-                      let body_answers =
-                        evaluate ~allow_remote ?remote
-                          ~solutions:config.Session.max_answers ~requester
-                          session peer pre_goals
-                      in
-                      let n_builtin = List.length ctx_builtin in
-                      let use_answer (a : Sld.answer) =
-                        if List.length !results >= config.Session.max_answers
-                        then ()
-                        else begin
-                          let s1 = a.Sld.subst in
-                          let body_proofs =
-                            List.filteri (fun i _ -> i >= n_builtin) a.Sld.proofs
-                          in
-                          let remaining =
-                            List.map
-                              (fun l -> Literal.apply s1 (Literal.apply s0 l))
-                              ctx_rest
-                          in
-                          let ctx_ok =
-                            match remaining with
-                            | [] -> Some Subst.empty
-                            | goals -> (
-                                match
-                                  evaluate ~allow_remote ?remote ~solutions:1
-                                    ~requester session peer goals
-                                with
-                                | [] -> None
-                                | a2 :: _ -> Some a2.Sld.subst)
-                          in
-                          match ctx_ok with
-                          | None -> ()
-                          | Some s2 ->
-                              let instance =
-                                tidy_instance
-                                  (Literal.apply s2
-                                     (Literal.apply s1 (Literal.apply s0 goal)))
-                              in
-                              let extra = if Rule.is_signed r then [ rule ] else [] in
-                              let answer_certs =
-                                releasable_proof_certs ~allow_remote ?remote
-                                  session peer ~requester body_proofs extra
-                              in
-                              certs := !certs @ answer_certs;
-                              let proof =
-                                if config.Session.attach_proofs then
-                                  Some
-                                    (Trace.Apply
-                                       ( Rule.apply s2 (Rule.apply s1 (Rule.apply s0 r)),
-                                         body_proofs ))
-                                else None
-                              in
-                              List.iter
-                                (fun p ->
-                                  Metric.observe_int h_proof_depth
-                                    (Trace.depth p))
-                                body_proofs;
-                              results := (instance, proof) :: !results
-                        end
-                      in
-                      List.iter use_answer body_answers
-              in
-              List.iter try_head heads
-        in
-        (* Second source of answers: a signed rule (credential) whose head —
-           directly or through the signed-rule axiom [h @ signer] — matches
-           the goal may be disclosed when its own release policy grants it,
-           even without a covering [$]-context rule matching the decorated
-           goal.  This is how a query for [visaCard(C) @ "VISA"] is answered
-           from a VISA-signed card gated by an undecorated release rule. *)
-        let consider_credential rule =
-          (* Only credentials whose body is pure built-in guards qualify:
-             disclosing an instance of such a rule reveals nothing beyond
-             the (releasable) rule text.  A signed rule with proper body
-             literals derives new statements, whose disclosure is governed
-             by covering release rules, i.e. the first source. *)
-          let builtin_only_body =
-            List.for_all
-              (fun l -> Builtin.is_builtin (Literal.key l))
-              rule.Rule.body
-          in
-          if
-            Rule.is_signed rule && builtin_only_body
-            && List.length !results < config.Session.max_answers
-          then begin
-            incr fresh_counter;
-            let r =
-              Rule.rename ~suffix:(Printf.sprintf "~c%d" !fresh_counter) rule
-            in
-            let heads =
-              r.Rule.head
-              :: List.map
-                   (fun a -> Literal.push_authority r.Rule.head (Term.str a))
-                   r.Rule.signer
-            in
-            let try_head head =
-              if List.length !results >= config.Session.max_answers then ()
-              else
-                match Literal.unify goal head bindings with
-                | None -> ()
-                | Some s0 -> (
-                    saw_release_rule := true;
-                    let prover = prover ~allow_remote ?remote session peer in
-                    match
-                      Policy.credential_releasable ~prover ~kb:peer.Peer.kb
-                        ~requester ~self rule
-                    with
-                    | Policy.Denied _ -> ()
-                    | Policy.Granted -> (
-                        let body_goals =
-                          List.map (Literal.apply s0) r.Rule.body
+        let try_head head =
+          if List.length !results >= config.Session.max_answers then ()
+          else
+            match Literal.unify goal head bindings with
+            | None -> ()
+            | Some s0 ->
+                let pre_goals =
+                  List.map (Literal.apply s0) (ctx_builtin @ r.Rule.body)
+                in
+                let body_answers =
+                  evaluate ?remote ~solutions:config.Session.max_answers
+                    ~requester peer pre_goals
+                in
+                let n_builtin = List.length ctx_builtin in
+                let use_answer (a : Sld.answer) =
+                  if List.length !results >= config.Session.max_answers
+                  then ()
+                  else begin
+                    let s1 = a.Sld.subst in
+                    let body_proofs =
+                      List.filteri (fun i _ -> i >= n_builtin) a.Sld.proofs
+                    in
+                    let remaining =
+                      List.map
+                        (fun l -> Literal.apply s1 (Literal.apply s0 l))
+                        ctx_rest
+                    in
+                    let ctx_ok =
+                      match remaining with
+                      | [] -> Some Subst.empty
+                      | goals -> (
+                          match
+                            evaluate ?remote ~solutions:1 ~requester peer goals
+                          with
+                          | [] -> None
+                          | a2 :: _ -> Some a2.Sld.subst)
+                    in
+                    match ctx_ok with
+                    | None -> ()
+                    | Some s2 ->
+                        let instance =
+                          tidy_instance
+                            (Literal.apply s2
+                               (Literal.apply s1 (Literal.apply s0 goal)))
                         in
-                        match
-                          evaluate ~allow_remote ?remote ~solutions:1
-                            ~requester session peer body_goals
-                        with
-                        | [] -> ()
-                        | a :: _ ->
-                            let s1 = a.Sld.subst in
-                            let instance =
-                              tidy_instance
-                                (Literal.apply s1 (Literal.apply s0 goal))
-                            in
-                            let answer_certs =
-                              releasable_proof_certs ~allow_remote ?remote
-                                session peer ~requester a.Sld.proofs [ rule ]
-                            in
-                            certs := !certs @ answer_certs;
-                            let proof =
-                              if config.Session.attach_proofs then
-                                Some
-                                  (Trace.Apply
-                                     ( Rule.apply s1 (Rule.apply s0 r),
-                                       a.Sld.proofs ))
-                              else None
-                            in
-                            results := (instance, proof) :: !results))
-            in
-            List.iter try_head heads
-          end
+                        let extra = if Rule.is_signed r then [ rule ] else [] in
+                        let answer_certs =
+                          releasable_proof_certs ?remote peer ~requester
+                            body_proofs extra
+                        in
+                        certs := !certs @ answer_certs;
+                        let proof =
+                          if config.Session.attach_proofs then
+                            Some
+                              (Trace.Apply
+                                 ( Rule.apply s2 (Rule.apply s1 (Rule.apply s0 r)),
+                                   body_proofs ))
+                          else None
+                        in
+                        List.iter
+                          (fun p ->
+                            Metric.observe_int h_proof_depth
+                              (Trace.depth p))
+                          body_proofs;
+                        results := (instance, proof) :: !results
+                  end
+                in
+                List.iter use_answer body_answers
         in
-        let candidates = Kb.matching goal peer.Peer.kb in
-        List.iter consider candidates;
-        List.iter consider_credential candidates;
-        (* Deduplicate instances (a signed [$ true] fact is found by both
-           sources). *)
-        let dedup_instances instances =
-          let seen = Hashtbl.create 8 in
-          List.filter
-            (fun (l, _) ->
-              let key = Literal.to_string l in
-              if Hashtbl.mem seen key then false
-              else begin
-                Hashtbl.add seen key ();
-                true
-              end)
-            instances
-        in
-        match dedup_instances (List.rev !results) with
-        | [] ->
-            Error
-              (if !saw_release_rule then "release policy not satisfied"
-               else "no release policy covers goal")
-        | instances ->
-            (* Relay: certificates acquired from other peers while
-               computing this answer travel onwards with it, provided their
-               release policies also grant the requester (this is how a
-               delegation chain collected hop by hop reaches the original
-               requester). *)
-            let prover = prover ~allow_remote ?remote session peer in
-            let relayed =
-              Hashtbl.fold
-                (fun _ (c : Crypto.Cert.t) acc ->
-                  if
-                    List.mem c.Crypto.Cert.serial serials_before
-                    || Peer.cert_origin peer c = Some requester
-                  then acc
-                  else
-                    match
-                      Policy.credential_releasable ~prover ~kb:peer.Peer.kb
-                        ~requester ~self c.Crypto.Cert.rule
-                    with
-                    | Policy.Granted -> c :: acc
-                    | Policy.Denied _ -> acc)
-                peer.Peer.certs []
-            in
-            Ok (instances, dedup_certs (!certs @ relayed)))
+        List.iter try_head heads
+  in
+  (* Second source of answers: a signed rule (credential) whose head —
+     directly or through the signed-rule axiom [h @ signer] — matches
+     the goal may be disclosed when its own release policy grants it,
+     even without a covering [$]-context rule matching the decorated
+     goal.  This is how a query for [visaCard(C) @ "VISA"] is answered
+     from a VISA-signed card gated by an undecorated release rule. *)
+  let consider_credential rule =
+    (* Only credentials whose body is pure built-in guards qualify:
+       disclosing an instance of such a rule reveals nothing beyond
+       the (releasable) rule text.  A signed rule with proper body
+       literals derives new statements, whose disclosure is governed
+       by covering release rules, i.e. the first source. *)
+    let builtin_only_body =
+      List.for_all
+        (fun l -> Builtin.is_builtin (Literal.key l))
+        rule.Rule.body
+    in
+    if
+      Rule.is_signed rule && builtin_only_body
+      && List.length !results < config.Session.max_answers
+    then begin
+      incr fresh_counter;
+      let r =
+        Rule.rename ~suffix:(Printf.sprintf "~c%d" !fresh_counter) rule
+      in
+      let heads =
+        r.Rule.head
+        :: List.map
+             (fun a -> Literal.push_authority r.Rule.head (Term.str a))
+             r.Rule.signer
+      in
+      let try_head head =
+        if List.length !results >= config.Session.max_answers then ()
+        else
+          match Literal.unify goal head bindings with
+          | None -> ()
+          | Some s0 -> (
+              saw_release_rule := true;
+              let prover = prover ?remote peer in
+              match
+                Policy.credential_releasable ~prover ~kb:peer.Peer.kb
+                  ~requester ~self rule
+              with
+              | Policy.Denied _ -> ()
+              | Policy.Granted -> (
+                  let body_goals =
+                    List.map (Literal.apply s0) r.Rule.body
+                  in
+                  match
+                    evaluate ?remote ~solutions:1 ~requester peer
+                      body_goals
+                  with
+                  | [] -> ()
+                  | a :: _ ->
+                      let s1 = a.Sld.subst in
+                      let instance =
+                        tidy_instance
+                          (Literal.apply s1 (Literal.apply s0 goal))
+                      in
+                      let answer_certs =
+                        releasable_proof_certs ?remote peer ~requester
+                          a.Sld.proofs [ rule ]
+                      in
+                      certs := !certs @ answer_certs;
+                      let proof =
+                        if config.Session.attach_proofs then
+                          Some
+                            (Trace.Apply
+                               ( Rule.apply s1 (Rule.apply s0 r),
+                                 a.Sld.proofs ))
+                        else None
+                      in
+                      results := (instance, proof) :: !results))
+      in
+      List.iter try_head heads
+    end
+  in
+  let candidates = Kb.matching goal peer.Peer.kb in
+  List.iter consider candidates;
+  List.iter consider_credential candidates;
+  (* Deduplicate instances (a signed [$ true] fact is found by both
+     sources). *)
+  let dedup_instances instances =
+    let seen = Hashtbl.create 8 in
+    List.filter
+      (fun (l, _) ->
+        let key = Literal.to_string l in
+        if Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.add seen key ();
+          true
+        end)
+      instances
+  in
+  match dedup_instances (List.rev !results) with
+  | [] ->
+      Error
+        (if !saw_release_rule then "release policy not satisfied"
+         else "no release policy covers goal")
+  | instances -> Ok (instances, dedup_certs !certs)
 
-let answer ?allow_remote ?remote session peer ~requester goal =
-  let run () = answer_body ?allow_remote ?remote session peer ~requester goal in
+let answer ?remote session peer ~requester goal =
+  let run () = answer_body ?remote session peer ~requester goal in
   let result =
     let tracer = Obs.tracer () in
     if Otracer.enabled tracer then
@@ -454,54 +360,8 @@ let answer ?allow_remote ?remote session peer ~requester goal =
   | Error _ -> Metric.incr m_denials);
   result
 
-let handler session peer : Net.Network.handler =
- fun ~from payload ->
-  match payload with
-  | Net.Message.Query { goal } -> (
-      match answer session peer ~requester:from goal with
-      | Ok (instances, certs) ->
-          Log.debug (fun m ->
-              m "%s answers %s for %s: %d instance(s), %d cert(s)"
-                peer.Peer.name (Literal.to_string goal) from
-                (List.length instances) (List.length certs));
-          Net.Message.Answer { goal; instances; certs }
-      | Error reason ->
-          Log.debug (fun m ->
-              m "%s denies %s for %s: %s" peer.Peer.name
-                (Literal.to_string goal) from reason);
-          Net.Message.Deny { goal; reason })
-  | Net.Message.Disclosure { certs; rules } ->
-      learn ~from_:from session peer certs;
-      (* Unsigned pushed rules are policy hints (e.g. a disseminated
-         eligibility rule); they carry no authority of their own. *)
-      List.iter
-        (fun r -> if not (Rule.is_signed r) then Peer.add_rule peer r)
-        rules;
-      Net.Message.Ack
-  | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Ack
-  | Net.Message.Batch _ | Net.Message.Raw _ | Net.Message.Tquery _
-  | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-  | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-      (* Batches and the tabling control plane belong to the queued
-         reactor; the synchronous request/response pair cannot carry
-         several answers back. *)
-      Net.Message.Ack
-
-let handler_for = handler
-
-let attach session peer =
-  Net.Network.register session.Session.network peer.Peer.name
-    (handler session peer)
-
-let attach_all session =
-  Hashtbl.iter (fun _ peer -> attach session peer) session.Session.peers
-
-let query session ~requester ~target goal =
-  let peer = Session.peer session requester in
-  remote_callback session peer ~target goal
-
-let releasable_certs ?allow_remote session peer ~requester =
-  let prover = prover ?allow_remote session peer in
+let releasable_certs peer ~requester =
+  let prover = prover peer in
   let self = peer.Peer.name in
   Hashtbl.fold (fun _ c acc -> c :: acc) peer.Peer.certs []
   |> List.filter (fun (c : Crypto.Cert.t) ->
@@ -512,9 +372,3 @@ let releasable_certs ?allow_remote session peer ~requester =
          | Policy.Granted -> true
          | Policy.Denied _ -> false)
   |> dedup_certs
-
-let disclose session peer ~target certs =
-  if certs <> [] then
-    ignore
-      (Net.Network.send session.Session.network ~from:peer.Peer.name ~target
-         (Net.Message.Disclosure { certs; rules = [] }))

@@ -1,22 +1,21 @@
-(** The distributed evaluation engine: answers queries from other peers
-    under release policies, issues counter-queries, verifies and learns
-    credentials, and dispatches sub-goals along authority chains.
+(** The local evaluation core: answers a query from another peer under
+    release policies, and verifies and learns credentials.  The
+    {!Reactor} runs it for every delivered query and turns the remote
+    calls it collects into sub-queries.
 
-    Answering a remote query [G] from requester [R] (the paper's run-time
+    Answering a query [G] from requester [R] (the paper's run-time
     semantics, §3.2, specialised to backward chaining):
 
-    + reject [G] if the same (requester, goal) pair is already in flight at
-      this peer (negotiation cycle);
     + consider the rules whose head matches [G] {e and} that carry a [$]
       head context — the release policies.  A rule without a head context
       is private: usable inside local proofs, never to answer an outsider;
     + for each such rule, prove the built-in part of the context, then the
-      body (local SLD with remote dispatch along [@] authority chains),
-      then the remaining context literals with [Requester = R] — this last
-      step is what triggers counter-queries back to [R] and makes the
-      negotiation bilateral and iterative;
+      body (local SLD, remote calls along [@] authority chains going to
+      [remote]), then the remaining context literals with [Requester = R]
+      — this last step is what issues counter-queries back to [R] and
+      makes the negotiation bilateral and iterative;
     + attach the certificates for the signed rules used by the proof,
-      filtered by their own release policies;
+      filtered by their own release policies (never one [R] sent);
     + the requester verifies every received certificate before its rule
       enters the knowledge base. *)
 
@@ -24,65 +23,36 @@ open Peertrust_dlp
 
 type instance = Literal.t * Trace.t option
 
-val attach : Session.t -> Peer.t -> unit
-(** Register the peer's message handler on the session network. *)
-
-val handler_for : Session.t -> Peer.t -> Peertrust_net.Network.handler
-(** The raw handler {!attach} registers — exposed so wrappers (e.g.
-    {!Audit.attach}) can decorate it. *)
-
-val attach_all : Session.t -> unit
-
-val query :
-  Session.t -> requester:string -> target:string -> Literal.t -> instance list
-(** Client side: send one query, verify and learn the returned credentials,
-    return the provable instances.  Empty on denial or unreachable
-    target. *)
-
 val answer :
-  ?allow_remote:bool ->
   ?remote:Sld.remote ->
   Session.t ->
   Peer.t ->
   requester:string ->
   Literal.t ->
   (instance list * Peertrust_crypto.Cert.t list, string) result
-(** Server side (also used directly by the eager strategy with
-    [~allow_remote:false]): compute the releasable answer to a query.
-    [Error reason] when nothing is releasable.  [remote] overrides the
-    network-backed remote dispatch — the queued engine ({!Reactor}) passes
-    a collector that records blocked sub-goals instead of recursing. *)
+(** Compute the releasable answer to a query.  [Error reason] when
+    nothing is releasable.  [remote] (default: no remote calls) receives
+    the calls to other peers — the {!Reactor} passes a collector that
+    records them as blocked sub-goals. *)
 
 val evaluate :
-  ?allow_remote:bool ->
   ?remote:Sld.remote ->
   ?solutions:int ->
   ?requester:string ->
-  Session.t ->
   Peer.t ->
   Literal.t list ->
   Sld.answer list
 (** Local evaluation (release policies {e not} enforced — this is the
-    peer reasoning over its own knowledge), with remote dispatch through
-    the network unless [allow_remote] is [false]. *)
+    peer reasoning over its own knowledge); [remote] as in {!answer}. *)
 
-val prover :
-  ?allow_remote:bool -> ?remote:Sld.remote -> Session.t -> Peer.t ->
-  Policy.prover
+val prover : ?remote:Sld.remote -> Peer.t -> Policy.prover
 (** The context prover backed by {!evaluate}. *)
 
 val releasable_certs :
-  ?allow_remote:bool ->
-  Session.t ->
-  Peer.t ->
-  requester:string ->
-  Peertrust_crypto.Cert.t list
+  Peer.t -> requester:string -> Peertrust_crypto.Cert.t list
 (** All held certificates whose release policy grants disclosure to
-    [requester] (the eager strategy's per-round disclosure set). *)
-
-val disclose :
-  Session.t -> Peer.t -> target:string -> Peertrust_crypto.Cert.t list -> unit
-(** Push credentials to another peer (eager / push strategies). *)
+    [requester] using local knowledge only (the eager strategy's
+    per-round disclosure set). *)
 
 val learn :
   ?from_:string -> Session.t -> Peer.t -> Peertrust_crypto.Cert.t list -> unit

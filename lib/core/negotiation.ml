@@ -88,6 +88,11 @@ let h_bytes = Obs.histogram "negotiation.bytes"
 let h_disclosures = Obs.histogram "negotiation.disclosures"
 let h_ticks = Obs.histogram "negotiation.ticks"
 
+let count outcome =
+  Metric.incr m_negotiations;
+  Metric.incr
+    (match outcome with Granted _ -> m_granted | Denied _ -> m_denied)
+
 let measure_inner session run =
   let net = session.Session.network in
   let stats = Net.Network.stats net in
@@ -136,22 +141,11 @@ let measure session run =
           r)
     else measure_inner session run
   in
-  Metric.incr m_negotiations;
-  Metric.incr (if succeeded report then m_granted else m_denied);
   Metric.observe_int h_messages report.messages;
   Metric.observe_int h_bytes report.bytes;
   Metric.observe_int h_disclosures report.disclosures;
   Metric.observe_int h_ticks report.elapsed;
   report
-
-let request session ~requester ~target goal =
-  measure session (fun () ->
-      match Engine.query session ~requester ~target goal with
-      | [] -> Denied "request denied or not derivable"
-      | instances -> Granted instances)
-
-let request_str session ~requester ~target goal_src =
-  request session ~requester ~target (Parser.parse_literal goal_src)
 
 let pp_outcome fmt = function
   | Granted instances ->

@@ -6,8 +6,6 @@
     report captures what the paper's evaluation narrates: the outcome, the
     sequence of disclosures, and the message/byte/latency cost. *)
 
-open Peertrust_dlp
-
 type outcome =
   | Granted of Engine.instance list
       (** access granted; the provable instances of the goal *)
@@ -16,7 +14,7 @@ type outcome =
 type denial_class =
   | Policy  (** the target's policies do not release the resource *)
   | Timeout  (** a sub-query exhausted its retransmission budget *)
-  | Unreachable  (** a peer was down or unregistered *)
+  | Unreachable  (** a peer was down or is not a session peer *)
   | Budget  (** the session's message budget ran out *)
   | Cycle  (** deadlocked release policies (negotiation cycle) *)
   | Quiescent  (** the queue drained without resolving the request *)
@@ -55,17 +53,15 @@ type report = {
 
 val succeeded : report -> bool
 
-val request :
-  Session.t -> requester:string -> target:string -> Literal.t -> report
-(** Run one negotiation with the backward-chaining (relevant) strategy. *)
-
-val request_str :
-  Session.t -> requester:string -> target:string -> string -> report
-(** Convenience: parse the goal from text.  @raise Parser.Error. *)
+val count : outcome -> unit
+(** Count one settled negotiation in the [negotiation.count] /
+    [negotiation.granted] / [negotiation.denied] counters.  The runtimes
+    call it exactly once per negotiation, where its outcome settles. *)
 
 val measure : Session.t -> (unit -> outcome) -> report
-(** Wrap an arbitrary negotiation procedure (used by {!Strategy}): snapshot
-    network statistics around the call and collect the transcript delta.
+(** Wrap a negotiation procedure (used by {!Reactor.negotiate} and
+    {!Strategy}): snapshot network statistics around the call, collect the
+    transcript delta and observe the [negotiation.*] size histograms.
     A message-budget exhaustion or an unreachable top-level target turns
     into a [Denied] outcome rather than an exception. *)
 

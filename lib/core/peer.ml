@@ -7,7 +7,6 @@ type t = {
   origins : (int, string) Hashtbl.t;
   externals : Sld.externals;
   mutable options : Sld.options;
-  mutable active : (string * string) list;
   mutable kb_watchers : (unit -> unit) list;
 }
 
@@ -20,7 +19,6 @@ let create ?(options = Sld.default_options) ?(externals = fun _ -> None)
     origins = Hashtbl.create 16;
     externals;
     options;
-    active = [];
     kb_watchers = [];
   }
 
@@ -71,19 +69,3 @@ let cert_for t r =
         t.certs None
 
 let goal_key lit = Rule.canonical (Rule.fact lit)
-
-let enter t ~requester lit =
-  let key = (requester, goal_key lit) in
-  if List.mem key t.active then false
-  else begin
-    t.active <- key :: t.active;
-    true
-  end
-
-let leave t ~requester lit =
-  let key = (requester, goal_key lit) in
-  let rec remove_first = function
-    | [] -> []
-    | k :: rest -> if k = key then rest else k :: remove_first rest
-  in
-  t.active <- remove_first t.active

@@ -21,9 +21,6 @@ type t = {
       (** evaluation limits; mutable so the reactor can cap [max_steps]
           for the duration of one requester's evaluation (the guard's
           per-requester work quota) *)
-  mutable active : (string * string) list;
-      (** in-flight (requester, goal skeleton) pairs, for cross-peer cycle
-          detection *)
   mutable kb_watchers : (unit -> unit) list;
       (** callbacks fired on setup-style KB mutations; see
           {!on_kb_update} *)
@@ -57,11 +54,5 @@ val cert_for : t -> Rule.t -> Peertrust_crypto.Cert.t option
 (** The certificate backing a signed rule, if held. *)
 
 val goal_key : Literal.t -> string
-(** Canonical skeleton of a goal (alpha-invariant), used for cycle
-    detection. *)
-
-val enter : t -> requester:string -> Literal.t -> bool
-(** Record an in-flight goal; [false] if the same (requester, goal) is
-    already active (a negotiation cycle). *)
-
-val leave : t -> requester:string -> Literal.t -> unit
+(** Canonical skeleton of a goal (alpha-invariant), keying the reactor's
+    sub-queries. *)

@@ -156,9 +156,7 @@ let load ?config ?seed ~dir () =
             in
             match load_all entries with
             | Error e -> Error e
-            | Ok () ->
-                Engine.attach_all session;
-                Ok session))
+            | Ok () -> Ok session))
     | _ -> Error (Bad_world "world.meta line 1: bad magic line"))
   end
 
@@ -335,6 +333,38 @@ module Journal = struct
     | Disk path -> write_file path text
 
   let reset t = rewrite t []
+
+  let finished entries =
+    let ids = Hashtbl.create 16 in
+    List.iter
+      (function Done { id } -> Hashtbl.replace ids id () | _ -> ())
+      entries;
+    ids
+
+  (* Entries hashed structurally, deep enough to tell certificates and
+     facts apart, and compared with [=]: two entries are equal exactly
+     when their journal lines are. *)
+  module Seen = Hashtbl.Make (struct
+    type t = entry
+
+    let equal = ( = )
+    let hash = Hashtbl.hash_param 32 256
+  end)
+
+  let compact entries =
+    let settled = finished entries in
+    let seen = Seen.create 64 in
+    List.filter
+      (fun e ->
+        match e with
+        | (Goal { id; _ } | Done { id }) when Hashtbl.mem settled id -> false
+        | _ ->
+            if Seen.mem seen e then false
+            else begin
+              Seen.add seen e ();
+              true
+            end)
+      entries
 
   let replay_peer peer entries =
     List.iter

@@ -26,8 +26,8 @@ val save : Session.t -> dir:string -> unit
 val load :
   ?config:Session.config -> ?seed:int64 -> dir:string -> unit ->
   (Session.t, error) result
-(** Rebuild a session from a world directory: peers, programs, wallets;
-    handlers attached.  Total over corrupt input: a missing or truncated
+(** Rebuild a session from a world directory: peers, programs, wallets.
+    Total over corrupt input: a missing or truncated
     index, unreadable files, garbage [.pt]/[.wallet] contents all come
     back as [Error (Bad_world reason)] — with the reason naming the file
     and offending line where a parser is involved — never an
@@ -98,6 +98,16 @@ module Journal : sig
 
   val reset : t -> unit
   (** [rewrite t []]. *)
+
+  val finished : entry list -> (int, unit) Hashtbl.t
+  (** The request ids that have a [Done] entry. *)
+
+  val compact : entry list -> entry list
+  (** The entries a compaction keeps: the [Goal]/[Done] pairs of
+      {!finished} requests go, and so does every entry that repeats an
+      earlier one (equal entries are exactly those with equal journal
+      lines); the rest keep their order.  Linear in the journal length:
+      a hash set, not a list scan. *)
 
   val appends : t -> int
   (** Appends since creation (feeds the [reactor.checkpoints]

@@ -1,52 +1,14 @@
 module Net = Peertrust_net
 
-(* Forward counters, keyed by device name (reset when a device is
-   attached). *)
-let counters : (string, int ref) Hashtbl.t = Hashtbl.create 8
-
-let forwarded_count _session ~device =
-  match Hashtbl.find_opt counters device with Some r -> !r | None -> 0
-
 let attach_device session ~device ~proxy =
-  let proxy_peer = Session.peer session proxy in
+  ignore (Session.peer session proxy : Peer.t);
   let device_peer = Session.add_peer session device in
-  let counter = ref 0 in
-  Hashtbl.replace counters device counter;
-  let handler ~from payload =
-    match payload with
-    | Net.Message.Query { goal } -> (
-        incr counter;
-        (* Account for the device <-> proxy hops, then let the trusted
-           proxy answer with the *original* requester bound, so release
-           contexts are evaluated against the real counterparty. *)
-        match
-          Net.Network.notify session.Session.network ~from:device
-            ~target:proxy payload
-        with
-        | exception Net.Network.Unreachable _ ->
-            Net.Message.Deny { goal; reason = "proxy unreachable" }
-        | () ->
-            let response =
-              match Engine.answer session proxy_peer ~requester:from goal with
-              | Ok (instances, certs) ->
-                  Net.Message.Answer { goal; instances; certs }
-              | Error reason -> Net.Message.Deny { goal; reason }
-            in
-            Net.Network.notify session.Session.network ~from:proxy
-              ~target:device response;
-            response)
-    | Net.Message.Disclosure { certs; rules = _ } ->
-        incr counter;
-        Net.Network.notify session.Session.network ~from:device ~target:proxy
-          payload;
-        Engine.learn ~from_:from session proxy_peer certs;
-        Net.Message.Ack
-    | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Ack
-    | Net.Message.Batch _ | Net.Message.Raw _ | Net.Message.Tquery _
-    | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-    | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-        Net.Message.Ack
-  in
-  (* Replace the device's default handler with the forwarding one. *)
-  Net.Network.register session.Session.network device handler;
+  Hashtbl.replace session.Session.proxies device proxy;
   device_peer
+
+let forwarded_count session ~device =
+  match Hashtbl.find_opt session.Session.proxies device with
+  | None -> 0
+  | Some proxy ->
+      Net.Stats.between (Net.Network.stats session.Session.network) device
+        proxy

@@ -97,20 +97,38 @@ let searchable_program registry =
     preds;
   Buffer.contents buf
 
+(* Each round evaluates the query at the requester; the first remote
+   literal, in evaluation order, that has no local answer and has not
+   been asked yet is negotiated with its peer — whose answers land in
+   the requester's KB as [lit @ peer] facts — until no such literal is
+   left. *)
 let search session ~requester ~provider q =
   let peer = Session.peer session requester in
   let decorated =
-    List.map
-      (fun l -> Literal.push_authority l (Term.str provider))
-      q.body
+    List.map (fun l -> Literal.push_authority l (Term.str provider)) q.body
   in
-  let answers = Engine.evaluate session peer decorated in
-  project q (List.map (fun (a : Sld.answer) -> a.Sld.subst) answers)
+  let asked = Hashtbl.create 8 in
+  let rec loop () =
+    let next = ref None in
+    let remote ~target lit =
+      let key = (target, Peer.goal_key lit) in
+      if Option.is_none !next && not (Hashtbl.mem asked key) then
+        next := Some (target, lit, key);
+      []
+    in
+    let answers = Engine.evaluate ~remote peer decorated in
+    match !next with
+    | None -> project q (List.map (fun (a : Sld.answer) -> a.Sld.subst) answers)
+    | Some (target, lit, key) ->
+        Hashtbl.add asked key ();
+        ignore
+          (Reactor.negotiate session ~requester ~target lit
+            : Negotiation.report);
+        loop ()
+  in
+  loop ()
 
 let search_all session ~requester ~providers q =
-  List.filter_map
-    (fun provider ->
-      match search session ~requester ~provider q with
-      | rows -> Some (provider, rows)
-      | exception Peertrust_net.Network.Unreachable _ -> None)
+  List.map
+    (fun provider -> (provider, search session ~requester ~provider q))
     providers

@@ -41,13 +41,14 @@ val searchable_program : Peertrust_rdf.Registry.t -> string
 
 val search :
   Session.t -> requester:string -> provider:string -> t -> row list
-(** Run the query against one provider over the network: every body
-    literal is shipped to the provider (subject to its release policies)
-    and the projections of the combined answers are returned,
-    de-duplicated. *)
+(** Run the query against one provider over the network: each body
+    literal the requester cannot answer locally is negotiated with the
+    provider (subject to its release policies), one literal at a time in
+    evaluation order, and the projections of the combined answers are
+    returned, de-duplicated. *)
 
 val search_all :
   Session.t -> requester:string -> providers:string list -> t ->
   (string * row list) list
-(** Fan a query out to several providers (the Edutella broadcast),
-    skipping unreachable ones. *)
+(** Fan a query out to several providers (the Edutella broadcast); an
+    unreachable provider contributes no rows. *)

@@ -51,9 +51,6 @@ type config = {
   (* answer cache consulted before posting a sub-query and filled on
      answer delivery; pass one reactor's cache to the next for the
      shared cross-session mode *)
-  batch : bool;
-  (* coalesce same-tick sub-queries to one peer into a single Batch
-     envelope *)
   dedup_cap : int;
   (* capacity of the delivered-envelope-id dedup set; past it the
      oldest ids are forgotten (counted as reactor.dedup_evictions) *)
@@ -74,7 +71,6 @@ let default_config =
     rto = 8;
     retry_limit = 3;
     cache = None;
-    batch = false;
     dedup_cap = 8192;
     tabling = false;
     journal = Journal_off;
@@ -84,8 +80,11 @@ type parked = {
   pk_peer : string;  (* the peer holding the goal *)
   pk_requester : string;  (* whom to answer *)
   pk_goal : Literal.t;
-  mutable pk_waiting : (string * string) list;  (* (target, goal key) *)
+  mutable pk_waiting : string * string;  (* (target, goal key) *)
   pk_request : int option;  (* top-level request id *)
+  pk_via : string option;
+      (* the device a proxied query arrived at: the reply goes back
+         through it *)
 }
 
 (* Retransmission state of one outstanding sub-query. *)
@@ -169,14 +168,6 @@ let create ?(config = default_config) session =
   if config.rto < 1 then invalid_arg "Reactor.create: rto must be >= 1";
   if config.retry_limit < 0 then
     invalid_arg "Reactor.create: retry_limit must be >= 0";
-  (* Detach any synchronous handlers: reactor sessions route everything
-     through the queue.  A handler that acks keeps Network.send usable for
-     unrelated traffic without invoking the engine. *)
-  Hashtbl.iter
-    (fun name _ ->
-      Net.Network.register session.Session.network name (fun ~from:_ _ ->
-          Net.Message.Ack))
-    session.Session.peers;
   let verify =
     if session.Session.config.Session.verify_signatures then fun c ->
       Peertrust_crypto.Cert.verify session.Session.keystore
@@ -324,15 +315,21 @@ let jappend t peer entry =
       Metric.incr m_checkpoints
 
 (* Post a message: account it on the network under the fault plan and
-   enqueue the surviving copies.  An unreachable target of a query turns
-   into a synthetic denial; other payloads to unreachable peers are
+   enqueue the surviving copies.  A target that is down, or is neither a
+   session peer nor an adversary, is unreachable and costs no message:
+   a query to it turns into a synthetic denial; other payloads are
    counted and traced as reactor drops. *)
 let post ?attempt ?trace t ~from ~target payload =
   Metric.incr m_posts;
   let trace = resolve_trace trace in
   match
-    Net.Network.post t.session.Session.network ~from ~target ?attempt
-      ~incarnation:(incarnation_of t from) ?trace payload
+    if
+      Hashtbl.mem t.session.Session.peers target
+      || Hashtbl.mem t.adversaries target
+    then
+      Net.Network.post t.session.Session.network ~from ~target ?attempt
+        ~incarnation:(incarnation_of t from) ?trace payload
+    else raise (Net.Network.Unreachable target)
   with
   | envelopes -> List.iter (enqueue t) envelopes
   | exception Net.Network.Unreachable _ ->
@@ -388,11 +385,11 @@ let cache_find t ~asker ~owner goal =
   | None -> None
   | Some c -> Answer_cache.find c ~now:(now t) ~asker ~owner goal
 
-(* Send one sub-query whose pending entry the caller has registered: a
-   cache hit short-circuits into a locally synthesized Answer (no
-   envelope, no timer); a miss posts the query and arms its
-   retransmission timer. *)
-let send_query ?trace t ~from ~target ~key goal =
+(* Post a sub-query, registering it as pending: a cache hit
+   short-circuits into a locally synthesized Answer (no envelope, no
+   timer); a miss posts the query and arms its retransmission timer. *)
+let post_query ?trace t ~from ~target ~key goal =
+  Hashtbl.add t.pending (from, target, key) (ref false);
   match cache_find t ~asker:from ~owner:target goal with
   | Some a ->
       Otracer.event (Obs.tracer ())
@@ -408,66 +405,6 @@ let send_query ?trace t ~from ~target ~key goal =
   | None ->
       post ?trace t ~from ~target (Net.Message.Query { goal });
       arm_timer ?trace t ~peer:from ~target ~key goal
-
-(* Post a sub-query, registering it as pending and arming its
-   retransmission timer. *)
-let post_query ?trace t ~from ~target ~key goal =
-  Hashtbl.add t.pending (from, target, key) (ref false);
-  send_query ?trace t ~from ~target ~key goal
-
-(* Send a group of fresh sub-queries from one peer (pending entries
-   already registered).  With batching on, cache misses bound for the
-   same target coalesce into one Batch envelope — one envelope of
-   transport accounting for the whole group — while each query keeps its
-   own pending entry and retransmission timer (retries travel
-   individually). *)
-let flush_queries t ~from items =
-  if not t.config.batch then
-    List.iter
-      (fun (target, key, goal) -> send_query t ~from ~target ~key goal)
-      items
-  else
-    let to_send =
-      List.filter
-        (fun (target, key, goal) ->
-          match cache_find t ~asker:from ~owner:target goal with
-          | Some a ->
-              Otracer.event (Obs.tracer ())
-                (Printf.sprintf "reactor.cache_hit %s -> %s: %s" from target
-                   (Literal.to_string goal));
-              enqueue_synthetic t ~from:target ~target:from
-                (Net.Message.Answer
-                   {
-                     goal;
-                     instances = a.Answer_cache.instances;
-                     certs = a.Answer_cache.certs;
-                   });
-              ignore key;
-              false
-          | None -> true)
-        items
-    in
-    let targets =
-      List.sort_uniq String.compare
-        (List.map (fun (target, _, _) -> target) to_send)
-    in
-    List.iter
-      (fun target ->
-        let group =
-          List.filter (fun (tg, _, _) -> String.equal tg target) to_send
-        in
-        (match group with
-        | [ (_, _, goal) ] -> post t ~from ~target (Net.Message.Query { goal })
-        | _ ->
-            post t ~from ~target
-              (Net.Message.Batch
-                 (List.map
-                    (fun (_, _, goal) -> Net.Message.Query { goal })
-                    group)));
-        List.iter
-          (fun (_, key, goal) -> arm_timer t ~peer:from ~target ~key goal)
-          group)
-      targets
 
 let resolve t pkey =
   (match Hashtbl.find_opt t.pending pkey with
@@ -513,9 +450,12 @@ let with_tabling t f =
   match t.tabling_st with None -> () | Some tb -> tabling_send t (f tb)
 
 (* Evaluate a goal at a peer with a collecting remote callback; either
-   respond (true) or report the blocked sub-goals (false).  Work is done
-   on [requester]'s behalf: each inner solve is capped at the
-   requester's unspent guard quota and the steps actually burnt are
+   respond or park the goal on the first remote call, in evaluation
+   order, that has no answer yet — the call depth-first recursion would
+   block on.  Later calls wait until that one is answered: asking them
+   now would pay for speculative fallbacks an answer may make moot.
+   Work is done on [requester]'s behalf: each inner solve is capped at
+   the requester's unspent guard quota and the steps actually burnt are
    charged against it. *)
 let evaluate_goal t peer ~requester goal ~respond =
   let blocked = ref [] in
@@ -546,32 +486,23 @@ let evaluate_goal t peer ~requester goal ~respond =
   | Ok (instances, certs) ->
       respond (Net.Message.Answer { goal; instances; certs });
       `Settled
-  | Error reason ->
-      let pairs =
-        List.sort_uniq compare
-          (List.map (fun (tg, lit) -> (tg, goal_key lit, lit)) !blocked)
-      in
-      let fresh = ref [] in
-      let waiting =
-        List.filter_map
-          (fun (target, key, lit) ->
-            let pkey = (peer.Peer.name, target, key) in
-            match Hashtbl.find_opt t.pending pkey with
-            | Some resolved -> if !resolved then None else Some (target, key)
+  | Error reason -> (
+      let rec first_unanswered = function
+        | [] -> None
+        | (target, lit) :: rest -> (
+            let key = goal_key lit in
+            match Hashtbl.find_opt t.pending (peer.Peer.name, target, key) with
+            | Some { contents = true } -> first_unanswered rest
+            | Some _ -> Some (target, key)
             | None ->
-                (* Register before sending so a later variant of the same
-                   goal in [pairs] is not posted twice. *)
-                Hashtbl.add t.pending pkey (ref false);
-                fresh := (target, key, lit) :: !fresh;
+                post_query t ~from:peer.Peer.name ~target ~key lit;
                 Some (target, key))
-          pairs
       in
-      flush_queries t ~from:peer.Peer.name (List.rev !fresh);
-      if waiting = [] then begin
-        respond (Net.Message.Deny { goal; reason });
-        `Settled
-      end
-      else `Parked waiting
+      match first_unanswered (List.rev !blocked) with
+      | None ->
+          respond (Net.Message.Deny { goal; reason });
+          `Settled
+      | Some waiting -> `Parked waiting)
 
 (* Checkpoint compaction threshold: once this many root goals have
    settled since the last compaction, the journal is rewritten without
@@ -585,38 +516,19 @@ let maybe_compact t owner =
       match Persist.Journal.entries j with
       | Error _ -> ()
       | Ok entries ->
-          let finished =
-            List.filter_map
-              (function Persist.Journal.Done { id } -> Some id | _ -> None)
-              entries
-          in
-          if List.length finished >= compact_after then begin
-            let live =
-              List.filter
-                (function
-                  | Persist.Journal.Done { id } | Persist.Journal.Goal { id; _ }
-                    ->
-                      not (List.mem id finished)
-                  | Persist.Journal.Cert _ | Persist.Journal.Fact _
-                  | Persist.Journal.Answer _ ->
-                      true)
-                entries
-            in
-            let rec dedup acc = function
-              | [] -> List.rev acc
-              | e :: rest ->
-                  if List.mem e acc then dedup acc rest
-                  else dedup (e :: acc) rest
-            in
-            Persist.Journal.rewrite j (dedup [] live);
+          if Hashtbl.length (Persist.Journal.finished entries) >= compact_after
+          then begin
+            let kept = Persist.Journal.compact entries in
+            Persist.Journal.rewrite j kept;
             Otracer.event (Obs.tracer ())
               (Printf.sprintf "reactor.compact %s journal -> %d entries" owner
-                 (List.length live))
+                 (List.length kept))
           end)
 
 let settle_request t id outcome =
   if not (Hashtbl.mem t.results id) then begin
     Hashtbl.replace t.results id outcome;
+    Negotiation.count outcome;
     match Hashtbl.find_opt t.req_owner id with
     | None -> ()
     | Some owner ->
@@ -642,30 +554,51 @@ let denial_reason t ~target pkey =
       reason
   | Some _ | None -> "denied by target"
 
+(* Charge a device<->proxy forwarding hop: accounted on the network
+   like any message but delivered to nobody, as the proxy answers in
+   place.  [false] when the hop could not be made. *)
+let hop t ~from ~target payload =
+  match Net.Network.post t.session.Session.network ~from ~target payload with
+  | (_ : Net.Envelope.t list) -> true
+  | exception Net.Network.Unreachable _ -> false
+  | exception Net.Network.Budget_exhausted ->
+      t.budget_hit <- true;
+      false
+
+(* Reply from [peer] to a query from [requester]; a proxied query's
+   reply travels back through the device it arrived at. *)
+let reply ?via t ~peer ~requester payload =
+  match via with
+  | None -> post t ~from:peer ~target:requester payload
+  | Some device ->
+      if hop t ~from:peer ~target:device payload then
+        post t ~from:device ~target:requester payload
+
 (* Try to settle one parked goal; [true] when it is resolved. *)
 let try_settle t p =
-  let peer = Session.peer t.session p.pk_peer in
   match p.pk_request with
   | Some id -> (
       (* Top-level: resolved by its single sub-query. *)
-      match p.pk_waiting with
-      | [ (target, key) ] -> (
-          let pkey = (p.pk_peer, target, key) in
-          match Hashtbl.find_opt t.pending pkey with
-          | Some { contents = true } ->
-              (match Hashtbl.find_opt t.answers pkey with
-              | Some instances -> settle_request t id (Negotiation.Granted instances)
-              | None ->
-                  settle_request t id
-                    (Negotiation.Denied (denial_reason t ~target pkey)));
-              true
-          | Some _ | None -> false)
-      | _ -> false)
+      let target, key = p.pk_waiting in
+      let pkey = (p.pk_peer, target, key) in
+      match Hashtbl.find_opt t.pending pkey with
+      | Some { contents = true } ->
+          (match Hashtbl.find_opt t.answers pkey with
+          | Some instances ->
+              settle_request t id (Negotiation.Granted instances)
+          | None ->
+              settle_request t id
+                (Negotiation.Denied (denial_reason t ~target pkey)));
+          true
+      | Some _ | None -> false)
   | None -> (
-      let respond payload =
-        post t ~from:p.pk_peer ~target:p.pk_requester payload
-      in
-      match evaluate_goal t peer ~requester:p.pk_requester p.pk_goal ~respond with
+      match
+        evaluate_goal t
+          (Session.peer t.session p.pk_peer)
+          ~requester:p.pk_requester p.pk_goal
+          ~respond:
+            (reply ?via:p.pk_via t ~peer:p.pk_peer ~requester:p.pk_requester)
+      with
       | `Settled -> true
       | `Parked waiting ->
           p.pk_waiting <- waiting;
@@ -678,16 +611,15 @@ let reevaluate t peer_name =
   let still = List.filter (fun p -> not (try_settle t p)) mine in
   t.parked <- still @ others
 
-let handle_query t peer ~from goal =
-  let respond payload = post t ~from:peer.Peer.name ~target:from payload in
+let handle_query ?via t peer ~from goal =
+  let respond = reply ?via t ~peer:peer.Peer.name ~requester:from in
   match evaluate_goal t peer ~requester:from goal ~respond with
   | `Settled -> ()
-  | `Parked waiting ->
+  | `Parked ((target, _) as waiting) ->
       Metric.incr m_parks;
       Log.debug (fun m ->
-          m "%s parks %s for %s (%d sub-quer%s outstanding)" peer.Peer.name
-            (Literal.to_string goal) from (List.length waiting)
-            (if List.length waiting = 1 then "y" else "ies"));
+          m "%s parks %s for %s (waiting on %s)" peer.Peer.name
+            (Literal.to_string goal) from target);
       t.parked <-
         {
           pk_peer = peer.Peer.name;
@@ -695,6 +627,7 @@ let handle_query t peer ~from goal =
           pk_goal = goal;
           pk_waiting = waiting;
           pk_request = None;
+          pk_via = via;
         }
         :: t.parked
 
@@ -721,7 +654,18 @@ let rec dispatch t ~synthetic (from, target, payload) =
   | None -> ()
   | Some peer -> (
       match payload with
-      | Net.Message.Query { goal } -> handle_query t peer ~from goal
+      | Net.Message.Query { goal } -> (
+          match Hashtbl.find_opt t.session.Session.proxies target with
+          | None -> handle_query t peer ~from goal
+          | Some proxy ->
+              (* A device answers through its trusted proxy, which
+                 evaluates the query against the original requester. *)
+              if hop t ~from:target ~target:proxy payload then
+                handle_query ~via:target t (Session.peer t.session proxy)
+                  ~from goal
+              else
+                post t ~from:target ~target:from
+                  (Net.Message.Deny { goal; reason = "proxy unreachable" }))
       | Net.Message.Answer { goal; instances; certs } ->
           learn_certs t peer ~from certs;
           List.iter
@@ -769,7 +713,9 @@ let rec dispatch t ~synthetic (from, target, payload) =
             List.partition
               (fun p ->
                 p.pk_request = None
-                && String.equal p.pk_peer target
+                && String.equal
+                     (Option.value p.pk_via ~default:p.pk_peer)
+                     target
                 && String.equal p.pk_requester from
                 && String.equal (goal_key p.pk_goal) key)
               t.parked
@@ -868,8 +814,9 @@ let launch_root ?trace t ~id ~requester ~target goal =
       pk_peer = requester;
       pk_requester = requester;
       pk_goal = goal;
-      pk_waiting = [ (target, key) ];
+      pk_waiting = (target, key);
       pk_request = Some id;
+      pk_via = None;
     }
   in
   if not (try_settle t p) then t.parked <- p :: t.parked
@@ -1311,15 +1258,11 @@ let restart_peer t name =
                   | _ -> ())
                 entries
           | None -> ());
-          let finished =
-            List.filter_map
-              (function Persist.Journal.Done { id } -> Some id | _ -> None)
-              entries
-          in
+          let finished = Persist.Journal.finished entries in
           List.iter
             (function
               | Persist.Journal.Goal { id; target; goal }
-                when (not (List.mem id finished))
+                when (not (Hashtbl.mem finished id))
                      && not (Hashtbl.mem t.results id) ->
                   Metric.incr m_recovered_goals;
                   Otracer.event (Obs.tracer ())
@@ -1437,7 +1380,7 @@ let break_quiescence t =
   with
   | p :: rest, tops ->
       t.parked <- rest @ tops;
-      post t ~from:p.pk_peer ~target:p.pk_requester
+      reply ?via:p.pk_via t ~peer:p.pk_peer ~requester:p.pk_requester
         (Net.Message.Deny { goal = p.pk_goal; reason = "negotiation cycle" });
       true
   | [], p :: rest -> (
@@ -1519,13 +1462,11 @@ let guard t = t.guard
 let dedup_evictions t =
   Hashtbl.fold (fun _ ring acc -> acc + Net.Dedup.evictions ring) t.rings 0
 
-(* Register an adversary: give it a network identity (an inert handler,
-   so posts to it succeed) and queue its opening burst against
-   [targets] (default: every honest session peer). *)
+(* Register an adversary — posts to it now reach it — and queue its
+   opening burst against [targets] (default: every honest session
+   peer). *)
 let add_adversary ?targets t adv =
   let name = Net.Adversary.name adv in
-  Net.Network.register t.session.Session.network name (fun ~from:_ _ ->
-      Net.Message.Ack);
   Hashtbl.replace t.adversaries name adv;
   let targets =
     match targets with
@@ -1550,4 +1491,7 @@ let negotiate ?config ?max_steps ?(adversaries = []) session ~requester
       List.iter (add_adversary t) adversaries;
       let id = submit t ~requester ~target goal in
       ignore (run ?max_steps t);
-      outcome t id)
+      let o = outcome t id in
+      (* a run cut at [max_steps] leaves the root unsettled *)
+      settle_request t id o;
+      o)

@@ -3,27 +3,35 @@
     queues of propositions that are in the process of being proved" around
     the logic engine.
 
-    Where {!Engine} answers a query by synchronous recursion through the
-    network, the reactor is message-driven:
+    It is the one negotiation runtime: every relevant-strategy
+    negotiation runs here, around {!Engine.answer} as the local
+    evaluation core.  It is message-driven:
 
     - an incoming query is evaluated against the local KB only; if that
-      does not settle it, the goal is {e parked} and one sub-query is
-      posted for each blocked remote sub-goal (each distinct
-      (peer, goal) is asked at most once per peer);
+      does not settle it, the goal is {e parked} on the first remote call,
+      in evaluation order, that has no answer yet — the call depth-first
+      recursion would block on — and that call is posted as a sub-query
+      unless it is already outstanding (each distinct (peer, goal) is
+      asked at most once per peer).  Later remote calls of the same
+      evaluation wait: an answer may make them moot;
     - an incoming answer is verified and learned (certificates plus the
-      "peer says" facts), then every parked goal waiting on it is
+      "peer says" facts), then every goal parked at that peer is
       re-evaluated from scratch over the grown knowledge base — the KB
       only grows, so re-evaluation is monotone;
-    - a parked goal whose sub-queries are all resolved and which still has
-      no releasable answer is denied upstream.
+    - a parked goal none of whose remote calls is left unanswered, and
+      which still has no releasable answer, is denied upstream.
 
-    Consequences the synchronous engine cannot offer: any number of
-    negotiations proceed {e interleaved} over one queue, and policy
-    deadlocks manifest as quiescence (an empty queue with unresolved
-    goals) rather than needing an in-flight cycle check.
+    Any number of negotiations proceed {e interleaved} over one queue,
+    and policy deadlocks end by quiescence (an empty queue with
+    unresolved goals), which force-denies one parked goal at a time —
+    no in-flight cycle table is needed.
 
-    Messages are accounted on the session network (statistics, transcript,
-    latency, budget) exactly like synchronous traffic.
+    Messages are accounted on the session network (statistics,
+    transcript, latency, budget).  A target that is neither a session
+    peer nor an adversary, or that is down, is unreachable: a query to it
+    is denied locally as [unreachable] and no message is charged.  A
+    query to a {!Proxy} device is evaluated at its proxy, with the
+    device<->proxy hops charged.
 
     {2 Resilience under faults}
 
@@ -39,18 +47,16 @@
     instead of hanging the negotiation.  With the fault-free plan the
     timers stay disarmed and behaviour is identical to the plain queue.
 
-    {2 Answer caching and batching}
+    {2 Answer caching}
 
     With {!config}[.cache] set, a sub-query whose variant the cache has
     already seen answered by the same peer (for the same asker) is
     short-circuited: the cached answer is replayed as a locally
     synthesized delivery — no envelope is posted and no retransmission
     timer is armed — and answers delivered off the wire fill the cache
-    (see {!Answer_cache} for keying, TTL and invalidation).  With
-    {!config}[.batch] set, the sub-queries one goal evaluation emits
-    towards the same peer travel as one {!Peertrust_net.Message.Batch}
-    envelope.  Both default off; the default configuration's fault-free
-    transcripts are byte-identical to the cache-less engine.
+    (see {!Answer_cache} for keying, TTL and invalidation).  Off by
+    default; the default configuration's fault-free transcripts are
+    byte-identical to the cache-less engine.
 
     {2 Guards and adversaries}
 
@@ -126,11 +132,6 @@ type config = {
           cross-session mode.  [None] (the default) disables caching and
           keeps fault-free transcripts byte-identical to the pre-cache
           engine. *)
-  batch : bool;
-      (** coalesce the same-tick sub-queries a goal evaluation emits
-          towards one peer into a single {!Peertrust_net.Message.Batch}
-          envelope.  Off by default: batching changes the transcript
-          shape (fewer, larger envelopes). *)
   dedup_cap : int;
       (** capacity of the delivered-envelope-id dedup set; past it the
           oldest ids are forgotten, counted as
@@ -151,16 +152,14 @@ type config = {
 }
 
 val default_config : config
-(** [{ rto = 8; retry_limit = 3; cache = None; batch = false;
-    dedup_cap = 8192; tabling = false; journal = Journal_off }] — a
-    sub-query is abandoned as timed out after 8 + 16 + 32 + 64
-    unanswered ticks; caching, batching, tabling and journalling are
-    opt-in. *)
+(** [{ rto = 8; retry_limit = 3; cache = None; dedup_cap = 8192;
+    tabling = false; journal = Journal_off }] — a sub-query is abandoned
+    as timed out after 8 + 16 + 32 + 64 unanswered ticks; caching,
+    tabling and journalling are opt-in. *)
 
 val create : ?config:config -> Session.t -> t
-(** The reactor replaces the peers' network handlers; create it after all
-    peers are added.  Sessions should not mix reactor and synchronous
-    {!Engine} traffic.  @raise Invalid_argument on [rto < 1] or a negative
+(** A reactor over the session's peers; create it after all peers are
+    added.  @raise Invalid_argument on [rto < 1] or a negative
     [retry_limit]. *)
 
 type request
@@ -230,6 +229,7 @@ val negotiate :
   target:string ->
   Literal.t ->
   Negotiation.report
-(** One-shot convenience: create a reactor, submit the goal, run to
-    quiescence and wrap the outcome in a measured {!Negotiation.report}
-    (used by the CLI's fault-injected runs). *)
+(** One negotiation: create a reactor, submit the goal, run to
+    quiescence and wrap the outcome in a measured {!Negotiation.report}.
+    The entry point of every relevant-strategy negotiation ({!Strategy},
+    {!Broker}, {!Chain}, {!Token}, {!Qel}, the CLI). *)

@@ -59,7 +59,6 @@ let scenario1 ?config ?key_bits () =
   ignore (Session.add_peer session ~program:elearn_program_s1 "E-Learn");
   ignore (Session.add_peer session ~program:alice_program_s1 "Alice");
   ignore (Session.add_peer session ~program:uiuc_program_s1 "UIUC");
-  Engine.attach_all session;
   {
     s1_session = session;
     s1_alice = "Alice";
@@ -170,7 +169,6 @@ let scenario2 ?config ?key_bits ?(visa_limit = 5000) () =
     (Session.add_peer session ~program:visa_program
        ~externals:(Externals.Accounts.externals ~pred:"approve" accounts)
        "VISA");
-  Engine.attach_all session;
   {
     s2_session = session;
     s2_bob = "Bob";
@@ -213,13 +211,7 @@ let policy_chain ?config ?(extra_creds = 0) ?missing ~depth () =
   | Some k when k < 1 || k > depth ->
       invalid_arg "Scenario.policy_chain: missing credential out of range"
   | Some _ | None -> ());
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        { Session.default_config with Session.max_hops = (4 * depth) + 16 }
-  in
-  let session = Session.create ~config () in
+  let session = Session.create ?config () in
   let requester = "alice" and owner = "bob" in
   let holder i = if i mod 2 = 1 then requester else owner in
   let buf_r = Buffer.create 256 and buf_o = Buffer.create 256 in
@@ -250,7 +242,6 @@ let policy_chain ?config ?(extra_creds = 0) ?missing ~depth () =
   done;
   ignore (Session.add_peer session ~program:(Buffer.contents buf_r) requester);
   ignore (Session.add_peer session ~program:(Buffer.contents buf_o) owner);
-  Engine.attach_all session;
   {
     cw_session = session;
     cw_requester = requester;
@@ -301,7 +292,6 @@ let grid ?config () =
       (Peertrust_rdf.Mapping.kb_of_store
          (Peertrust_rdf.Turtle.load grid_cluster_metadata));
   ignore (Session.add_peer session ~program:grid_user_program "ada");
-  Engine.attach_all session;
   { g_session = session; g_user = "ada"; g_cluster = "cluster" }
 
 type marketplace = {
@@ -315,12 +305,7 @@ let marketplace ?config ?(seed = 7L) ~providers ~learners
     ~courses_per_provider () =
   if providers < 1 || learners < 1 || courses_per_provider < 1 then
     invalid_arg "Scenario.marketplace: all sizes must be >= 1";
-  let config =
-    Option.value
-      ~default:{ Session.default_config with Session.max_hops = 64 }
-      config
-  in
-  let session = Session.create ~config () in
+  let session = Session.create ?config () in
   let prng = Peertrust_crypto.Prng.create seed in
   let provider_names =
     List.init providers (fun i -> Printf.sprintf "provider%d" i)
@@ -362,7 +347,6 @@ let marketplace ?config ?(seed = 7L) ~providers ~learners
       in
       ignore (Session.add_peer session ~program name))
     learner_names;
-  Engine.attach_all session;
   let goals =
     List.concat_map
       (fun learner ->
@@ -417,7 +401,6 @@ accredited("seed").|} else ""
       ignore (Session.add_peer session ~program name))
     peers;
   ignore (Session.add_peer session "client");
-  Engine.attach_all session;
   {
     rw_session = session;
     rw_requester = "client";
@@ -460,7 +443,6 @@ let federation ?config ?(clusters = 2) ?(size = 2) () =
           ignore (Session.add_peer session ~program:(Buffer.contents buf) name)))
     peers;
   ignore (Session.add_peer session "client");
-  Engine.attach_all session;
   {
     rw_session = session;
     rw_requester = "client";
@@ -474,12 +456,7 @@ let federation ?config ?(clusters = 2) ?(size = 2) () =
 
 let fanout ?config ~width () =
   if width < 1 then invalid_arg "Scenario.fanout: width must be >= 1";
-  let config =
-    match config with
-    | Some c -> c
-    | None -> { Session.default_config with Session.max_hops = width + 16 }
-  in
-  let session = Session.create ~config () in
+  let session = Session.create ?config () in
   let requester = "alice" and owner = "bob" in
   let ctx =
     String.concat ", "
@@ -505,7 +482,6 @@ let fanout ?config ~width () =
   done;
   ignore (Session.add_peer session ~program:(Buffer.contents buf_r) requester);
   ignore (Session.add_peer session ~program:(Buffer.contents buf_o) owner);
-  Engine.attach_all session;
   {
     cw_session = session;
     cw_requester = requester;

@@ -102,8 +102,8 @@ val mutual_accreditation :
 (** A mutual-accreditation web: [n] (>= 2, default 2) peers in a ring
     where each accepts whatever the next accredits
     ([accredited(X) <- accredited(X) @ next]) and [peer0] holds one base
-    fact.  The plain engines loop forever on it (the reactor force-denies
-    it as a cycle); under {!Reactor.config}[.tabling] every table
+    fact.  Without tabling the reactor force-denies it as a cycle at
+    quiescence; under {!Reactor.config}[.tabling] every table
     completes with exactly [rw_expected].  With [n = 2] this is the
     "A accredits B iff B accredits A" policy pair. *)
 

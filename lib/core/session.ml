@@ -1,6 +1,5 @@
 type config = {
   max_answers : int;
-  max_hops : int;
   verify_signatures : bool;
   attach_proofs : bool;
   now : int;
@@ -10,7 +9,6 @@ type config = {
 let default_config =
   {
     max_answers = 4;
-    max_hops = 30;
     verify_signatures = true;
     attach_proofs = false;
     now = 0;
@@ -22,7 +20,7 @@ type t = {
   keystore : Peertrust_crypto.Keystore.t;
   peers : (string, Peer.t) Hashtbl.t;
   config : config;
-  depth : int ref;
+  proxies : (string, string) Hashtbl.t;
 }
 
 let create ?(config = default_config) ?latency ?max_messages ?(seed = 1L)
@@ -32,7 +30,7 @@ let create ?(config = default_config) ?latency ?max_messages ?(seed = 1L)
     keystore = Peertrust_crypto.Keystore.create ?bits:key_bits ~seed ();
     peers = Hashtbl.create 16;
     config;
-    depth = ref 0;
+    proxies = Hashtbl.create 2;
   }
 
 let issue_signed_rules t peer =

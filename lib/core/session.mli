@@ -5,7 +5,6 @@ open Peertrust_dlp
 
 type config = {
   max_answers : int;  (** answers returned per remote query *)
-  max_hops : int;  (** bound on nested cross-peer query depth *)
   verify_signatures : bool;
       (** verify certificates before learning them (ablation switch for
           experiment E7) *)
@@ -25,7 +24,9 @@ type t = {
   keystore : Peertrust_crypto.Keystore.t;
   peers : (string, Peer.t) Hashtbl.t;
   config : config;
-  depth : int ref;  (** current nested query depth *)
+  proxies : (string, string) Hashtbl.t;
+      (** device -> the trusted peer that answers its queries
+          ({!Proxy}) *)
 }
 
 val create :

@@ -28,182 +28,105 @@ let to_string = function
 
 let eager_rounds_limit = 64
 
-(* Eager-mode message handler: answers are computed from the local KB only
-   (no counter-queries); disclosures are learned as usual. *)
-let eager_handler session peer : Net.Network.handler =
- fun ~from payload ->
-  match payload with
-  | Net.Message.Query { goal } -> (
-      match Engine.answer ~allow_remote:false session peer ~requester:from goal with
-      | Ok (instances, certs) -> Net.Message.Answer { goal; instances; certs }
-      | Error reason -> Net.Message.Deny { goal; reason })
-  | Net.Message.Disclosure { certs; rules } ->
-      Engine.learn ~from_:from session peer certs;
-      List.iter
-        (fun r -> if not (Rule.is_signed r) then Peer.add_rule peer r)
-        rules;
-      Net.Message.Ack
-  | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Ack
-  | Net.Message.Batch _ | Net.Message.Raw _ | Net.Message.Tquery _
-  | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-  | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-      Net.Message.Ack
+(* Charge one message on the session network.  The eager loop acts on
+   its messages in place, so the delivered envelopes are not needed. *)
+let charge session ~from ~target payload =
+  ignore
+    (Net.Network.post session.Session.network ~from ~target payload
+      : Net.Envelope.t list)
 
-let run_eager session ~requester ~target goal =
-  let r_peer = Session.peer session requester in
-  let t_peer = Session.peer session target in
-  let net = session.Session.network in
-  Net.Network.register net requester (eager_handler session r_peer);
-  Net.Network.register net target (eager_handler session t_peer);
-  Fun.protect
-    ~finally:(fun () ->
-      (* Restore the standard (backward-chaining) handlers. *)
-      Engine.attach session r_peer;
-      Engine.attach session t_peer)
-    (fun () ->
-      let sent = Hashtbl.create 32 in
-      (* (direction, serial) pairs already pushed *)
-      let push from_peer to_name =
-        let fresh =
-          Engine.releasable_certs ~allow_remote:false session from_peer
-            ~requester:to_name
-          |> List.filter (fun (c : Peertrust_crypto.Cert.t) ->
-                 not
-                   (Hashtbl.mem sent
-                      (from_peer.Peer.name, c.Peertrust_crypto.Cert.serial)))
-        in
-        List.iter
-          (fun (c : Peertrust_crypto.Cert.t) ->
-            Hashtbl.add sent
-              (from_peer.Peer.name, c.Peertrust_crypto.Cert.serial)
-              ())
-          fresh;
-        Engine.disclose session from_peer ~target:to_name fresh;
-        fresh <> []
-      in
-      let rec round n =
-        if n > eager_rounds_limit then
-          Negotiation.Denied "eager rounds limit exceeded"
-        else
-          let decision =
-            in_round n (fun () ->
-                match
-                  Net.Network.send net ~from:requester ~target
-                    (Net.Message.Query { goal })
-                with
-                | Net.Message.Answer { instances; certs; _ } ->
-                    Engine.learn ~from_:target session r_peer certs;
-                    `Done (Negotiation.Granted instances)
-                | Net.Message.Deny _ ->
-                    let p1 = push r_peer target in
-                    let p2 = push t_peer requester in
-                    if p1 || p2 then `Retry
-                    else `Done (Negotiation.Denied "no safe disclosure sequence")
-                | Net.Message.Query _ | Net.Message.Disclosure _
-                | Net.Message.Ack | Net.Message.Batch _ | Net.Message.Raw _
-                | Net.Message.Tquery _ | Net.Message.Tanswer _
-                | Net.Message.Tprobe _ | Net.Message.Tstat _
-                | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-                    `Done (Negotiation.Denied "protocol error"))
-          in
-          match decision with `Done o -> o | `Retry -> round (n + 1)
-      in
-      round 1)
+(* Push credentials to [target] in one Disclosure message; the target
+   verifies and learns them. *)
+let push session (from_peer : Peer.t) ~target certs =
+  if certs <> [] then begin
+    charge session ~from:from_peer.Peer.name ~target
+      (Net.Message.Disclosure { certs; rules = [] });
+    Engine.learn ~from_:from_peer.Peer.name session
+      (Session.peer session target)
+      certs
+  end
 
-let run_eager_multi session ~participants ~requester ~target goal =
+(* The eager loop.  Each round the requester checks the goal at the
+   target against the target's local knowledge only — the loop never
+   counter-queries, so it needs no runtime — and on a denial every
+   participant pushes each other participant the credentials newly
+   releasable to it, until the goal is granted or a round pushes
+   nothing. *)
+let run_eager session ~participants ~requester ~target goal =
   if not (List.mem requester participants && List.mem target participants)
   then invalid_arg "Strategy.negotiate_multi: requester/target not listed";
   let peers = List.map (Session.peer session) participants in
-  let net = session.Session.network in
-  List.iter
-    (fun p -> Net.Network.register net p.Peer.name (eager_handler session p))
-    peers;
-  Fun.protect
-    ~finally:(fun () -> List.iter (Engine.attach session) peers)
-    (fun () ->
-      let r_peer = Session.peer session requester in
-      let sent = Hashtbl.create 64 in
-      let push from_peer to_name =
-        let fresh =
-          Engine.releasable_certs ~allow_remote:false session from_peer
-            ~requester:to_name
-          |> List.filter (fun (c : Peertrust_crypto.Cert.t) ->
-                 not
-                   (Hashtbl.mem sent
-                      ( from_peer.Peer.name,
-                        to_name,
-                        c.Peertrust_crypto.Cert.serial )))
-        in
-        List.iter
-          (fun (c : Peertrust_crypto.Cert.t) ->
-            Hashtbl.add sent
-              (from_peer.Peer.name, to_name, c.Peertrust_crypto.Cert.serial)
-              ())
-          fresh;
-        Engine.disclose session from_peer ~target:to_name fresh;
-        fresh <> []
-      in
-      let push_round () =
+  let r_peer = Session.peer session requester in
+  let t_peer = Session.peer session target in
+  let sent = Hashtbl.create 64 in
+  let push_fresh (from_peer : Peer.t) to_name =
+    let key (c : Peertrust_crypto.Cert.t) =
+      (from_peer.Peer.name, to_name, c.Peertrust_crypto.Cert.serial)
+    in
+    let fresh =
+      Engine.releasable_certs from_peer ~requester:to_name
+      |> List.filter (fun c -> not (Hashtbl.mem sent (key c)))
+    in
+    List.iter (fun c -> Hashtbl.add sent (key c) ()) fresh;
+    push session from_peer ~target:to_name fresh;
+    fresh <> []
+  in
+  let push_round () =
+    List.fold_left
+      (fun progress (p : Peer.t) ->
         List.fold_left
-          (fun progress p ->
-            List.fold_left
-              (fun progress other ->
-                if String.equal other p.Peer.name then progress
-                else push p other || progress)
-              progress participants)
-          false peers
+          (fun progress other ->
+            if String.equal other p.Peer.name then progress
+            else push_fresh p other || progress)
+          progress participants)
+      false peers
+  in
+  let rec round n =
+    if n > eager_rounds_limit then
+      Negotiation.Denied "eager rounds limit exceeded"
+    else
+      let decision =
+        in_round n (fun () ->
+            charge session ~from:requester ~target (Net.Message.Query { goal });
+            match Engine.answer session t_peer ~requester goal with
+            | Ok (instances, certs) ->
+                charge session ~from:target ~target:requester
+                  (Net.Message.Answer { goal; instances; certs });
+                Engine.learn ~from_:target session r_peer certs;
+                `Done (Negotiation.Granted instances)
+            | Error reason ->
+                charge session ~from:target ~target:requester
+                  (Net.Message.Deny { goal; reason });
+                if push_round () then `Retry
+                else `Done (Negotiation.Denied "no safe disclosure sequence"))
       in
-      let rec round n =
-        if n > eager_rounds_limit then
-          Negotiation.Denied "eager rounds limit exceeded"
-        else
-          let decision =
-            in_round n (fun () ->
-                match
-                  Net.Network.send net ~from:requester ~target
-                    (Net.Message.Query { goal })
-                with
-                | Net.Message.Answer { instances; certs; _ } ->
-                    Engine.learn ~from_:target session r_peer certs;
-                    `Done (Negotiation.Granted instances)
-                | Net.Message.Deny _ ->
-                    if push_round () then `Retry
-                    else `Done (Negotiation.Denied "no safe disclosure sequence")
-                | Net.Message.Query _ | Net.Message.Disclosure _
-                | Net.Message.Ack | Net.Message.Batch _ | Net.Message.Raw _
-                | Net.Message.Tquery _ | Net.Message.Tanswer _
-                | Net.Message.Tprobe _ | Net.Message.Tstat _
-                | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-                    `Done (Negotiation.Denied "protocol error"))
-          in
-          match decision with `Done o -> o | `Retry -> round (n + 1)
-      in
-      round 1)
+      match decision with `Done o -> o | `Retry -> round (n + 1)
+  in
+  round 1
 
 let negotiate_multi session ~participants ~requester ~target goal =
-  Negotiation.measure session (fun () ->
-      run_eager_multi session ~participants ~requester ~target goal)
-
-let run_push_relevant session ~requester ~target goal =
-  let r_peer = Session.peer session requester in
-  let certs =
-    Engine.releasable_certs ~allow_remote:false session r_peer
-      ~requester:target
+  let report =
+    Negotiation.measure session (fun () ->
+        run_eager session ~participants ~requester ~target goal)
   in
-  Engine.disclose session r_peer ~target certs;
-  match Engine.query session ~requester ~target goal with
-  | [] -> Negotiation.Denied "request denied or not derivable"
-  | instances -> Negotiation.Granted instances
+  Negotiation.count report.Negotiation.outcome;
+  report
 
 let negotiate session ~strategy ~requester ~target goal =
   match strategy with
-  | Relevant -> Negotiation.request session ~requester ~target goal
+  | Relevant -> Reactor.negotiate session ~requester ~target goal
   | Eager ->
-      Negotiation.measure session (fun () ->
-          run_eager session ~requester ~target goal)
+      negotiate_multi session ~participants:[ requester; target ] ~requester
+        ~target goal
   | Push_relevant ->
       Negotiation.measure session (fun () ->
-          run_push_relevant session ~requester ~target goal)
+          let r_peer = Session.peer session requester in
+          push session r_peer ~target
+            (Engine.releasable_certs r_peer ~requester:target);
+          let reactor = Reactor.create session in
+          let id = Reactor.submit reactor ~requester ~target goal in
+          ignore (Reactor.run reactor : int);
+          Reactor.outcome reactor id)
 
 let negotiate_str session ~strategy ~requester ~target goal_src =
   negotiate session ~strategy ~requester ~target

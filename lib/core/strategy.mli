@@ -6,16 +6,20 @@
     each strategy finds one — but they differ in how much they disclose
     and how many messages they need:
 
-    - {!Relevant} (parsimonious): pure backward chaining; discloses only
-      credentials pulled by a counter-query chain.
-    - {!Eager}: parties alternate, each sending every credential whose
+    - {!Relevant} (parsimonious): pure backward chaining on the
+      {!Reactor}; discloses only credentials pulled by a counter-query
+      chain.
+    - {!Eager}: parties alternate, each pushing every credential whose
       release policy is unlocked by what it has received so far; no
-      queries other than the initial goal check.  More disclosures, fewer
-      rounds.
+      queries other than the goal check, which each round makes against
+      the target's local knowledge.  More disclosures, fewer rounds.
     - {!Push_relevant}: backward chaining, but the requester first pushes
       the credentials it can already release to the target (useful when
       the requester knows the target's policy shape — the paper's
-      "employees know to push the appropriate credentials"). *)
+      "employees know to push the appropriate credentials").
+
+    A push is one Disclosure message; an eager round's goal check is one
+    query and its answer or denial. *)
 
 open Peertrust_dlp
 

@@ -33,7 +33,7 @@ let grant session ~issuer ~holder ~goal ~ttl =
       invalid_arg (Format.asprintf "Token.grant: %a" Crypto.Cert.pp_error e)
 
 let negotiate_with_token session ~requester ~target ~ttl goal =
-  let report = Negotiation.request session ~requester ~target goal in
+  let report = Reactor.negotiate session ~requester ~target goal in
   if Negotiation.succeeded report then
     (report, Some (grant session ~issuer:target ~holder:requester ~goal ~ttl))
   else (report, None)

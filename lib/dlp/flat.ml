@@ -182,6 +182,11 @@ let unify st ~k0 g h =
 
 type fkey = Kany | Kground of int | Kfunctor of Sym.t * int
 
+let is_ground g =
+  let f = g.g_flat in
+  let rec from i = i >= Array.length f || (f.(i) >= 0 && from (i + 1)) in
+  from 2
+
 let goal_first_key g =
   if g.g_flat.(1) = 0 then Kany
   else

@@ -49,6 +49,9 @@ val pred : goal -> Sym.t
 val nargs : goal -> int
 val nauth : goal -> int
 
+val is_ground : goal -> bool
+(** Every argument and authority is ground (a {!Gterm} id). *)
+
 val unify : Store.t -> k0:int -> goal -> head -> bool
 (** Unify a goal against a head instantiated at fresh-block offset [k0]
     (head-local slot [j] denotes the live variable [Term.local_id (k0+j)]).

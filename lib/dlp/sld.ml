@@ -22,6 +22,7 @@ type externals = string * int -> external_fn option
 type remote = target:string -> Literal.t -> (Literal.t * Trace.t option) list
 
 exception Enough
+exception Exhausted of int
 
 let no_externals : externals = fun _ -> None
 let no_remote : remote = fun ~target:_ _ -> []
@@ -88,6 +89,9 @@ let solve_body ?(options = default_options) ?(externals = no_externals)
      enter fresh [solve_body]s) count theirs, so per-query histogram
      observations sum to the global step counter. *)
   let local_steps = ref 0 in
+  (* Ids of the ground-goal frames that may cut their own alternatives
+     ([Exhausted]); 0 marks a non-ground goal. *)
+  let frames = ref 0 in
   (* Pop authority layers that refer to the local peer. *)
   let rec strip_self goal =
     match Literal.pop_authority goal with
@@ -201,66 +205,88 @@ let solve_body ?(options = default_options) ?(externals = no_externals)
               else begin
                 let ancestors' = Acons (psym, goal, ancestors) in
                 let local_hit = ref false in
+                (* A ground goal's other proofs bind nothing new: once the
+                   continuation of one of its proofs has yielded no
+                   answer, its remaining clauses and remote instances are
+                   skipped.  Answers, their order and their proofs are
+                   unchanged, and a conjunction of ground goals whose
+                   later conjunct fails is searched in linear rather
+                   than exponential time. *)
+                let frame =
+                  if Flat.is_ground fg then begin
+                    incr frames;
+                    !frames
+                  end
+                  else 0
+                in
                 let k tr =
                   local_hit := true;
-                  k tr
+                  if frame = 0 then k tr
+                  else begin
+                    let before = !count in
+                    k tr;
+                    if !count = before then raise_notrace (Exhausted frame)
+                  end
                 in
-                let resolve_with compiled =
-                  incr app;
-                  let nv = Rule.nvars compiled in
-                  let k0 = if nv = 0 then 0 else Term.fresh_block nv in
-                  if nv > 0 then
-                    Store.note_names st k0 (Rule.slot_names compiled) !app;
-                  let heads = Rule.flat_heads compiled in
-                  for hi = 0 to Array.length heads - 1 do
-                    let m = Store.mark st in
-                    if Flat.unify st ~k0 fg heads.(hi) then begin
-                      (* Boxed instantiation deferred to here: failed
-                         candidates cost the flat unify only. *)
-                      let r = Rule.instantiate_at compiled k0 in
-                      prove_goals r.Rule.body (depth - 1) ancestors'
-                        (fun children -> k (Trace.Apply (r, children)))
-                    end;
-                    Store.undo st m
-                  done
-                in
-                (* Facts first: a cached credential or learned instance
-                   answers the goal without the counter-queries a proper
-                   rule's body might trigger. *)
-                let facts, proper =
-                  Kb.matching_parts (psym, nargs) (Flat.goal_first_key fg) kb
-                in
-                List.iter resolve_with facts;
-                List.iter resolve_with proper;
-                (* Remote dispatch is a fallback: a peer asks another peer
-                   only when it cannot establish the goal from its own
-                   rules (each peer controls how much effort it spends on
-                   other peers' behalf — §3.2). *)
-                if !local_hit || not !remote_enabled then ()
-                else
-                match Literal.pop_authority goal with
-                | None -> ()
-                | Some (inner, a) -> (
-                    match peer_name_of_term (Store.walk st a) with
-                    | Some peer when not (String.equal peer self) ->
-                        let shipped = Literal.display st inner in
-                        let use_instance (inst, proof) =
-                          let inst_lit =
-                            Literal.push_authority inst (Term.str peer)
+                let m0 = Store.mark st in
+                try
+                  let resolve_with compiled =
+                    incr app;
+                    let nv = Rule.nvars compiled in
+                    let k0 = if nv = 0 then 0 else Term.fresh_block nv in
+                    if nv > 0 then
+                      Store.note_names st k0 (Rule.slot_names compiled) !app;
+                    let heads = Rule.flat_heads compiled in
+                    for hi = 0 to Array.length heads - 1 do
+                      let m = Store.mark st in
+                      if Flat.unify st ~k0 fg heads.(hi) then begin
+                        (* Boxed instantiation deferred to here: failed
+                           candidates cost the flat unify only. *)
+                        let r = Rule.instantiate_at compiled k0 in
+                        prove_goals r.Rule.body (depth - 1) ancestors'
+                          (fun children -> k (Trace.Apply (r, children)))
+                      end;
+                      Store.undo st m
+                    done
+                  in
+                  (* Facts first: a cached credential or learned instance
+                     answers the goal without the counter-queries a proper
+                     rule's body might trigger. *)
+                  let facts, proper =
+                    Kb.matching_parts (psym, nargs) (Flat.goal_first_key fg) kb
+                  in
+                  List.iter resolve_with facts;
+                  List.iter resolve_with proper;
+                  (* Remote dispatch is a fallback: a peer asks another peer
+                     only when it cannot establish the goal from its own
+                     rules (each peer controls how much effort it spends on
+                     other peers' behalf — §3.2). *)
+                  if !local_hit || not !remote_enabled then ()
+                  else
+                  match Literal.pop_authority goal with
+                  | None -> ()
+                  | Some (inner, a) -> (
+                      match peer_name_of_term (Store.walk st a) with
+                      | Some peer when not (String.equal peer self) ->
+                          let shipped = Literal.display st inner in
+                          let use_instance (inst, proof) =
+                            let inst_lit =
+                              Literal.push_authority inst (Term.str peer)
+                            in
+                            let m = Store.mark st in
+                            if Literal.unify_store st goal inst_lit then
+                              k
+                                (Trace.Remote
+                                   {
+                                     peer;
+                                     goal = Literal.resolve st goal;
+                                     proof;
+                                   });
+                            Store.undo st m
                           in
-                          let m = Store.mark st in
-                          if Literal.unify_store st goal inst_lit then
-                            k
-                              (Trace.Remote
-                                 {
-                                   peer;
-                                   goal = Literal.resolve st goal;
-                                   proof;
-                                 });
-                          Store.undo st m
-                        in
-                        List.iter use_instance (remote ~target:peer shipped)
-                    | Some _ | None -> ())
+                          List.iter use_instance (remote ~target:peer shipped)
+                      | Some _ | None -> ())
+                with Exhausted f when f = frame -> Store.undo st m0
               end))
     end
   and prove_goals goals depth ancestors k =

@@ -5,8 +5,6 @@ module Otracer = Peertrust_obs.Tracer
 exception Unreachable of string
 exception Budget_exhausted
 
-type handler = from:string -> Message.payload -> Message.payload
-
 (* The registry mirror of {!Stats}: process-wide totals that survive
    across sessions and export with the rest of the metrics. *)
 let m_messages = Obs.counter "net.messages"
@@ -47,7 +45,8 @@ type t = {
   latency : int;
   link_latency : (string * string, int) Hashtbl.t;  (* directed overrides *)
   max_messages : int option;
-  peers : (string, handler) Hashtbl.t;
+  mutable observers :
+    (from:string -> target:string -> Message.payload -> unit) list;
   down : (string, unit) Hashtbl.t;
   log : entry Queue.t;  (* chronological; bounded ring *)
   log_cap : int;
@@ -67,7 +66,7 @@ let create ?(latency = 1) ?max_messages ?(log_cap = default_log_cap) () =
     latency;
     link_latency = Hashtbl.create 8;
     max_messages;
-    peers = Hashtbl.create 16;
+    observers = [];
     down = Hashtbl.create 4;
     log = Queue.create ();
     log_cap;
@@ -79,13 +78,7 @@ let create ?(latency = 1) ?max_messages ?(log_cap = default_log_cap) () =
 
 let clock t = t.clock
 let stats t = t.stats
-let register t name handler = Hashtbl.replace t.peers name handler
-let unregister t name = Hashtbl.remove t.peers name
-
-let registered t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.peers []
-  |> List.sort String.compare
-
+let observe t f = t.observers <- t.observers @ [ f ]
 let set_down t name down =
   if down then Hashtbl.replace t.down name ()
   else Hashtbl.remove t.down name
@@ -136,36 +129,6 @@ let deliver ?(note = "") t ~from ~target payload =
       certs_ = Message.cert_count payload;
     }
 
-let send_inner t ~from ~target payload =
-  if is_down t target then raise (Unreachable target);
-  match Hashtbl.find_opt t.peers target with
-  | None -> raise (Unreachable target)
-  | Some handler ->
-      deliver t ~from ~target payload;
-      let response = handler ~from payload in
-      deliver t ~from:target ~target:from response;
-      response
-
-let send t ~from ~target payload =
-  let tracer = Obs.tracer () in
-  if Otracer.enabled tracer then
-    Otracer.with_span tracer
-      ~attrs:
-        [
-          ("from", Peertrust_obs.Json.Str from);
-          ("target", Peertrust_obs.Json.Str target);
-          ( "kind",
-            Peertrust_obs.Json.Str
-              (Stats.kind_to_string (Message.kind payload)) );
-        ]
-      "net.send"
-      (fun () -> send_inner t ~from ~target payload)
-  else send_inner t ~from ~target payload
-
-let notify t ~from ~target payload =
-  if is_down t target then raise (Unreachable target);
-  deliver t ~from ~target payload
-
 let next_seq t ~from ~target =
   match Hashtbl.find_opt t.seq (from, target) with
   | Some r ->
@@ -193,47 +156,53 @@ let post t ~from ~target ?(attempt = 0) ?(incarnation = 0) ?trace payload =
   let id = t.next_id in
   t.next_id <- id + 1;
   let seq = next_seq t ~from ~target in
-  match decision.Faults.dec_delays with
-  | [] ->
-      (* Sampled as lost: the send is still charged and logged. *)
-      deliver ~note:" [lost]" t ~from ~target payload;
-      lost_event ~from ~target ~why:"fault" payload;
-      []
-  | delays when crashed ->
-      (* The target is down between crash and restart: every copy is
-         lost in transit, exactly like an outage window. *)
-      List.iter
-        (fun _ -> deliver ~note:" [lost: crashed]" t ~from ~target payload)
-        delays;
-      lost_event ~from ~target ~why:"crash" payload;
-      []
-  | delays when outage ->
-      (* Transient outage window: every copy is lost in transit. *)
-      List.iter
-        (fun _ -> deliver ~note:" [lost: outage]" t ~from ~target payload)
-        delays;
-      lost_event ~from ~target ~why:"outage" payload;
-      []
-  | delays ->
-      List.mapi
-        (fun i extra ->
-          let sent_at = Clock.now t.clock in
-          deliver ~note:(if i > 0 then " [dup]" else "") t ~from ~target payload;
-          if i > 0 then Metric.incr m_duplicates;
-          if extra > 0 then Metric.incr m_delayed;
-          {
-            Envelope.id;
-            seq;
-            from_ = from;
-            target;
-            sent_at;
-            deliver_at = Clock.now t.clock + extra;
-            attempt;
-            incarnation;
-            trace;
-            payload;
-          })
-        delays
+  let envelopes =
+    match decision.Faults.dec_delays with
+    | [] ->
+        (* Sampled as lost: the send is still charged and logged. *)
+        deliver ~note:" [lost]" t ~from ~target payload;
+        lost_event ~from ~target ~why:"fault" payload;
+        []
+    | delays when crashed ->
+        (* The target is down between crash and restart: every copy is
+           lost in transit, exactly like an outage window. *)
+        List.iter
+          (fun _ -> deliver ~note:" [lost: crashed]" t ~from ~target payload)
+          delays;
+        lost_event ~from ~target ~why:"crash" payload;
+        []
+    | delays when outage ->
+        (* Transient outage window: every copy is lost in transit. *)
+        List.iter
+          (fun _ -> deliver ~note:" [lost: outage]" t ~from ~target payload)
+          delays;
+        lost_event ~from ~target ~why:"outage" payload;
+        []
+    | delays ->
+        List.mapi
+          (fun i extra ->
+            let sent_at = Clock.now t.clock in
+            deliver
+              ~note:(if i > 0 then " [dup]" else "")
+              t ~from ~target payload;
+            if i > 0 then Metric.incr m_duplicates;
+            if extra > 0 then Metric.incr m_delayed;
+            {
+              Envelope.id;
+              seq;
+              from_ = from;
+              target;
+              sent_at;
+              deliver_at = Clock.now t.clock + extra;
+              attempt;
+              incarnation;
+              trace;
+              payload;
+            })
+          delays
+  in
+  List.iter (fun f -> f ~from ~target payload) t.observers;
+  envelopes
 
 let transcript t = List.of_seq (Queue.to_seq t.log)
 

@@ -1,25 +1,23 @@
 (** In-process simulated peer-to-peer network.
 
-    Peers register a synchronous handler; {!send} delivers a request to the
-    target's handler and returns its response, charging latency on the
-    shared clock and recording both directions in the statistics and the
-    transcript.  Deterministic by construction — no real I/O, no threads —
-    which is what makes the benchmark tables reproducible.
+    {!post} charges one message on the shared clock, records it in the
+    statistics and the transcript, and returns the envelopes that reach
+    the target; delivering them is the caller's business (the core
+    library's queued reactor).  Deterministic by construction — no real I/O,
+    no threads — which is what makes the benchmark tables reproducible.
 
     Failure injection: peers can be marked down ({!set_down}), a message
     budget can be imposed to abort runaway negotiations, and a seeded
     {!Faults} plan ({!set_faults}) injects drops, duplicates, delays and
-    transient outages into the queued ({!post}) path. *)
+    transient outages. *)
 
 type t
 
 exception Unreachable of string
-(** Target peer is down or not registered. *)
+(** Target peer is down. *)
 
 exception Budget_exhausted
 (** The configured message budget was hit. *)
-
-type handler = from:string -> Message.payload -> Message.payload
 
 type entry = {
   time : int;
@@ -38,17 +36,11 @@ val create : ?latency:int -> ?max_messages:int -> ?log_cap:int -> unit -> t
 
 val clock : t -> Clock.t
 val stats : t -> Stats.t
-val register : t -> string -> handler -> unit
-(** Re-registering a name replaces its handler. *)
-
-val unregister : t -> string -> unit
-val registered : t -> string list
 val set_down : t -> string -> bool -> unit
 val is_down : t -> string -> bool
 
 val set_faults : t -> Faults.t -> unit
-(** Install a fault plan; it applies to {!post} (the queued engines).
-    Synchronous {!send}/{!notify} traffic is not fault-injected. *)
+(** Install a fault plan; it applies to every {!post}. *)
 
 val faults : t -> Faults.t
 
@@ -58,17 +50,6 @@ val set_link_latency : t -> from:string -> target:string -> int -> unit
 
 val link_latency : t -> from:string -> target:string -> int
 (** Effective latency of a directed link (override or default). *)
-
-val send : t -> from:string -> target:string -> Message.payload -> Message.payload
-(** One request/response round trip.
-    @raise Unreachable if the target is down or unknown.
-    @raise Budget_exhausted past the message budget. *)
-
-val notify : t -> from:string -> target:string -> Message.payload -> unit
-(** One-way message: recorded in statistics and transcript, charged
-    latency, but not delivered to any handler.  Used to account for
-    forwarding traffic handled out-of-band (e.g. device-to-proxy hops).
-    @raise Unreachable / Budget_exhausted as {!send}. *)
 
 val post :
   t ->
@@ -88,15 +69,20 @@ val post :
     in [deliver_at].  Lost and duplicated sends increment [net.drops] /
     [net.duplicates].  [trace] (default [None]) is stamped verbatim on
     every surviving copy — the in-process form of the wire-propagated
-    trace header ({!Wire}).  With the fault-free plan this is exactly
-    {!notify} plus one envelope.
+    trace header ({!Wire}).
     @raise Unreachable if the target is down ({!set_down}) or the message
     budget is exhausted ([Budget_exhausted]); scheduled outages do NOT
     raise — the sender only learns through missing answers. *)
 
+val observe :
+  t -> (from:string -> target:string -> Message.payload -> unit) -> unit
+(** Register a callback run on every charged {!post} (after it is
+    accounted; not on an [Unreachable] or budget-exhausted one), in
+    registration order — e.g. an audit trail of the peers' replies. *)
+
 val transcript : t -> entry list
-(** Retained messages in delivery order (both directions of each round
-    trip).  Long runs keep only the newest [log_cap] entries. *)
+(** Retained messages in posting order.  Long runs keep only the newest
+    [log_cap] entries. *)
 
 val dropped_log_entries : t -> int
 (** Transcript entries discarded by the ring buffer so far. *)

@@ -19,7 +19,7 @@ let granted = function
 
 (* One queued scenario-1 run; [faults] installs a plan before the
    reactor starts, [config] selects reactor options (answer cache,
-   batching). *)
+   tabling, journals). *)
 let run_s1 ?faults ?config () =
   let s = Scenario.scenario1 ~key_bits () in
   let net = s.Scenario.s1_session.Session.network in
@@ -748,9 +748,8 @@ let test_trace_determinism () =
 
 let test_transcript_ring_buffer () =
   let net = Net.Network.create ~log_cap:8 () in
-  Net.Network.register net "b" (fun ~from:_ _ -> Net.Message.Ack);
   for _ = 1 to 20 do
-    Net.Network.notify net ~from:"a" ~target:"b" Net.Message.Ack
+    ignore (Net.Network.post net ~from:"a" ~target:"b" Net.Message.Ack)
   done;
   Alcotest.(check int) "ring keeps cap entries" 8
     (List.length (Net.Network.transcript net));

@@ -11,6 +11,17 @@ let lit = Parser.parse_literal
 
 let granted = function Negotiation.Granted _ -> true | Negotiation.Denied _ -> false
 
+(* One relevant-strategy negotiation from a goal text. *)
+let request_str session ~requester ~target goal =
+  Reactor.negotiate session ~requester ~target (lit goal)
+
+(* The instances a negotiation grants; [] on a denial. *)
+let query session ~requester ~target goal =
+  let r = Reactor.negotiate session ~requester ~target goal in
+  match r.Negotiation.outcome with
+  | Negotiation.Granted instances -> instances
+  | Negotiation.Denied _ -> []
+
 (* A prover over a bare KB, no remote dispatch — for Policy unit tests. *)
 let local_prover kb : Policy.prover =
  fun ~requester goals ->
@@ -97,16 +108,6 @@ let test_policy_credential_self_true_fact () =
 (* ------------------------------------------------------------------ *)
 (* Peer *)
 
-let test_peer_cycle_detection () =
-  let p = Peer.create "p" in
-  let g = lit {|student("Alice") @ "UIUC"|} in
-  Alcotest.(check bool) "first entry" true (Peer.enter p ~requester:"q" g);
-  Alcotest.(check bool) "re-entry blocked" false (Peer.enter p ~requester:"q" g);
-  Alcotest.(check bool) "different requester ok" true
-    (Peer.enter p ~requester:"r" g);
-  Peer.leave p ~requester:"q" g;
-  Alcotest.(check bool) "after leave" true (Peer.enter p ~requester:"q" g)
-
 let test_peer_goal_key_alpha_invariant () =
   Alcotest.(check string) "alpha-equivalent goals share a key"
     (Peer.goal_key (lit "p(X, Y) @ Z"))
@@ -133,18 +134,17 @@ let two_peer_session ?(config = Session.default_config) owner_prog requester_pro
   let session = Session.create ~config () in
   let _owner = Session.add_peer session ~program:owner_prog "owner" in
   let _req = Session.add_peer session ~program:requester_prog "req" in
-  Engine.attach_all session;
   session
 
 let test_engine_private_fact_denied () =
   let session = two_peer_session {|secret(42).|} "" in
-  let r = Negotiation.request_str session ~requester:"req" ~target:"owner" "secret(X)" in
+  let r = request_str session ~requester:"req" ~target:"owner" "secret(X)" in
   Alcotest.(check bool) "denied" false (granted r.Negotiation.outcome);
   Alcotest.(check int) "one round trip" 2 r.Negotiation.messages
 
 let test_engine_public_fact_granted () =
   let session = two_peer_session {|info(42) $ true.|} "" in
-  let r = Negotiation.request_str session ~requester:"req" ~target:"owner" "info(X)" in
+  let r = request_str session ~requester:"req" ~target:"owner" "info(X)" in
   match r.Negotiation.outcome with
   | Negotiation.Granted [ (l, None) ] ->
       Alcotest.(check string) "instance" "info(42)" (Literal.to_string l)
@@ -156,7 +156,7 @@ let test_engine_release_rule_gate () =
   in
   let session = two_peer_session owner "" in
   let ok =
-    Negotiation.request_str session ~requester:"req" ~target:"owner"
+    request_str session ~requester:"req" ~target:"owner"
       {|resource("r")|}
   in
   Alcotest.(check bool) "named requester granted" true
@@ -164,9 +164,8 @@ let test_engine_release_rule_gate () =
   let session2 = two_peer_session owner "" in
   let other = Session.add_peer session2 "mallory" in
   ignore other;
-  Engine.attach_all session2;
   let no =
-    Negotiation.request_str session2 ~requester:"mallory" ~target:"owner"
+    request_str session2 ~requester:"mallory" ~target:"owner"
       {|resource("r")|}
   in
   Alcotest.(check bool) "other requester denied" false
@@ -181,13 +180,13 @@ let test_engine_private_rule_usable_internally () =
   in
   let session = two_peer_session owner "" in
   let r =
-    Negotiation.request_str session ~requester:"req" ~target:"owner" "visible(X)"
+    request_str session ~requester:"req" ~target:"owner" "visible(X)"
   in
   Alcotest.(check bool) "granted through private helper" true
     (granted r.Negotiation.outcome);
   (* But the helper itself is not directly answerable. *)
   let r2 =
-    Negotiation.request_str session ~requester:"req" ~target:"owner" "helper(X)"
+    request_str session ~requester:"req" ~target:"owner" "helper(X)"
   in
   Alcotest.(check bool) "helper denied" false (granted r2.Negotiation.outcome)
 
@@ -200,7 +199,7 @@ let test_engine_credential_source () =
   in
   let session = two_peer_session owner "" in
   let r =
-    Negotiation.request_str session ~requester:"req" ~target:"owner"
+    request_str session ~requester:"req" ~target:"owner"
       {|card(X) @ "VISA"|}
   in
   (match r.Negotiation.outcome with
@@ -218,12 +217,12 @@ let test_engine_signed_rule_with_guard_body () =
   in
   let session = two_peer_session owner "" in
   let ok =
-    Negotiation.request_str session ~requester:"req" ~target:"owner"
+    request_str session ~requester:"req" ~target:"owner"
       {|authorized("owner", 1500) @ "IBM"|}
   in
   Alcotest.(check bool) "under limit granted" true (granted ok.Negotiation.outcome);
   let no =
-    Negotiation.request_str session ~requester:"req" ~target:"owner"
+    request_str session ~requester:"req" ~target:"owner"
       {|authorized("owner", 2500) @ "IBM"|}
   in
   Alcotest.(check bool) "over limit denied" false (granted no.Negotiation.outcome)
@@ -238,7 +237,7 @@ let test_engine_counter_query () =
   let requester = {|cred("req") @ "CA" $ true signedBy ["CA"].|} in
   let session = two_peer_session owner requester in
   let r =
-    Negotiation.request_str session ~requester:"req" ~target:"owner"
+    request_str session ~requester:"req" ~target:"owner"
       {|resource("r")|}
   in
   Alcotest.(check bool) "granted after counter-query" true
@@ -261,7 +260,7 @@ let test_engine_cycle_terminates () =
   in
   let session = two_peer_session owner requester in
   let r =
-    Negotiation.request_str session ~requester:"req" ~target:"owner" {|a("o")|}
+    request_str session ~requester:"req" ~target:"owner" {|a("o")|}
   in
   Alcotest.(check bool) "denied, not diverging" false (granted r.Negotiation.outcome)
 
@@ -273,10 +272,8 @@ let test_engine_unreachable_peer () =
   let session = two_peer_session owner "" in
   Net.Network.set_down session.Session.network "req" true;
   let report =
-    Negotiation.measure session (fun () ->
-        match Engine.query session ~requester:"req" ~target:"owner" (lit {|resource("r")|}) with
-        | [] -> Negotiation.Denied "no"
-        | i -> Negotiation.Granted i)
+    Reactor.negotiate session ~requester:"req" ~target:"owner"
+      (lit {|resource("r")|})
   in
   Alcotest.(check bool) "denied when requester unreachable for counter-query"
     false (granted report.Negotiation.outcome)
@@ -285,7 +282,7 @@ let test_engine_max_answers () =
   let config = { Session.default_config with Session.max_answers = 2 } in
   let owner = {|item(1) $ true. item(2) $ true. item(3) $ true.|} in
   let session = two_peer_session ~config owner "" in
-  let r = Negotiation.request_str session ~requester:"req" ~target:"owner" "item(X)" in
+  let r = request_str session ~requester:"req" ~target:"owner" "item(X)" in
   match r.Negotiation.outcome with
   | Negotiation.Granted instances ->
       Alcotest.(check int) "capped at two" 2 (List.length instances)
@@ -334,10 +331,10 @@ let test_engine_instance_caching () =
   let requester = {|cred("req") @ "CA" $ true signedBy ["CA"].|} in
   let session = two_peer_session owner requester in
   let r1 =
-    Negotiation.request_str session ~requester:"req" ~target:"owner" {|resource("r")|}
+    request_str session ~requester:"req" ~target:"owner" {|resource("r")|}
   in
   let r2 =
-    Negotiation.request_str session ~requester:"req" ~target:"owner" {|resource("r")|}
+    request_str session ~requester:"req" ~target:"owner" {|resource("r")|}
   in
   Alcotest.(check bool) "both granted" true
     (granted r1.Negotiation.outcome && granted r2.Negotiation.outcome);
@@ -359,9 +356,8 @@ let test_engine_message_budget () =
     (Session.add_peer session
        ~program:{|cred("req") @ "CA" $ true signedBy ["CA"].|}
        "req");
-  Engine.attach_all session;
   let r =
-    Negotiation.request_str session ~requester:"req" ~target:"owner"
+    request_str session ~requester:"req" ~target:"owner"
       {|resource("r")|}
   in
   (match r.Negotiation.outcome with
@@ -370,24 +366,13 @@ let test_engine_message_budget () =
   | Negotiation.Granted _ -> Alcotest.fail "should hit the budget");
   Alcotest.(check bool) "stopped at the budget" true (r.Negotiation.messages <= 3)
 
-let test_engine_max_hops () =
-  (* A hop budget of zero blocks all remote evaluation. *)
-  let config = { Session.default_config with Session.max_hops = 0 } in
-  let session = Session.create ~config () in
-  ignore (Session.add_peer session ~program:{|info(1) $ true.|} "owner");
-  ignore (Session.add_peer session "req");
-  Engine.attach_all session;
-  let r = Negotiation.request_str session ~requester:"req" ~target:"owner" "info(X)" in
-  Alcotest.(check bool) "no remote evaluation at zero hops" false
-    (granted r.Negotiation.outcome)
-
 (* ------------------------------------------------------------------ *)
 (* Scenario 1 (§4.1) *)
 
 let test_scenario1_success () =
   let s = Scenario.scenario1 () in
   let r =
-    Negotiation.request_str s.Scenario.s1_session ~requester:s.Scenario.s1_alice
+    request_str s.Scenario.s1_session ~requester:s.Scenario.s1_alice
       ~target:s.Scenario.s1_elearn {|discountEnroll(spanish101, "Alice")|}
   in
   Alcotest.(check bool) "granted" true (granted r.Negotiation.outcome);
@@ -397,7 +382,7 @@ let test_scenario1_success () =
 let test_scenario1_transcript_shape () =
   let s = Scenario.scenario1 () in
   let r =
-    Negotiation.request_str s.Scenario.s1_session ~requester:"Alice"
+    request_str s.Scenario.s1_session ~requester:"Alice"
       ~target:"E-Learn" {|discountEnroll(spanish101, "Alice")|}
   in
   let summaries =
@@ -419,7 +404,7 @@ let test_scenario1_transcript_shape () =
 let test_scenario1_elearn_cannot_query_uiuc () =
   let s = Scenario.scenario1 () in
   let r =
-    Negotiation.request_str s.Scenario.s1_session ~requester:"E-Learn"
+    request_str s.Scenario.s1_session ~requester:"E-Learn"
       ~target:"UIUC" {|student("Alice")|}
   in
   Alcotest.(check bool) "UIUC refuses E-Learn" false (granted r.Negotiation.outcome)
@@ -429,9 +414,8 @@ let test_scenario1_impostor_denied () =
   let s = Scenario.scenario1 () in
   let session = s.Scenario.s1_session in
   ignore (Session.add_peer session "Mallory");
-  Engine.attach_all session;
   let r =
-    Negotiation.request_str session ~requester:"Mallory" ~target:"E-Learn"
+    request_str session ~requester:"Mallory" ~target:"E-Learn"
       {|discountEnroll(spanish101, "Mallory")|}
   in
   Alcotest.(check bool) "denied" false (granted r.Negotiation.outcome)
@@ -441,7 +425,7 @@ let test_scenario1_wrong_party_denied () =
      Requester = Party release check. *)
   let s = Scenario.scenario1 () in
   let r =
-    Negotiation.request_str s.Scenario.s1_session ~requester:"Alice"
+    request_str s.Scenario.s1_session ~requester:"Alice"
       ~target:"E-Learn" {|discountEnroll(spanish101, "Mallory")|}
   in
   Alcotest.(check bool) "denied" false (granted r.Negotiation.outcome)
@@ -472,9 +456,8 @@ let test_scenario1_no_badge_no_deal () =
   in
   ignore (Session.add_peer session ~program:elearn_program "E-Learn");
   ignore (Session.add_peer session ~program:alice_program "Alice");
-  Engine.attach_all session;
   let r =
-    Negotiation.request_str session ~requester:"Alice" ~target:"E-Learn"
+    request_str session ~requester:"Alice" ~target:"E-Learn"
       {|discountEnroll(spanish101, "Alice")|}
   in
   Alcotest.(check bool) "denied without BBB proof" false
@@ -486,7 +469,7 @@ let test_scenario1_no_badge_no_deal () =
 let test_scenario2_free_course () =
   let s = Scenario.scenario2 () in
   let r =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    request_str s.Scenario.s2_session ~requester:"Bob"
       ~target:"E-Learn" {|enroll(cs101, "Bob", "IBM", Email, 0)|}
   in
   match r.Negotiation.outcome with
@@ -499,7 +482,7 @@ let test_scenario2_free_course () =
 let test_scenario2_paid_course () =
   let s = Scenario.scenario2 () in
   let r =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    request_str s.Scenario.s2_session ~requester:"Bob"
       ~target:"E-Learn" {|enroll(cs411, "Bob", "IBM", Email, Price)|}
   in
   Alcotest.(check bool) "granted" true (granted r.Negotiation.outcome)
@@ -508,7 +491,7 @@ let test_scenario2_over_authorization_denied () =
   (* cs500 costs 3000 > Bob's 2000 authorization limit. *)
   let s = Scenario.scenario2 () in
   let r =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    request_str s.Scenario.s2_session ~requester:"Bob"
       ~target:"E-Learn" {|enroll(cs500, "Bob", "IBM", Email, Price)|}
   in
   Alcotest.(check bool) "denied" false (granted r.Negotiation.outcome)
@@ -517,7 +500,7 @@ let test_scenario2_credit_limit () =
   (* With a 500 VISA limit, even the 1000 course is refused at approval. *)
   let s = Scenario.scenario2 ~visa_limit:500 () in
   let r =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    request_str s.Scenario.s2_session ~requester:"Bob"
       ~target:"E-Learn" {|enroll(cs411, "Bob", "IBM", Email, Price)|}
   in
   Alcotest.(check bool) "denied by VISA approval" false
@@ -527,13 +510,13 @@ let test_scenario2_visa_down () =
   let s = Scenario.scenario2 () in
   Net.Network.set_down s.Scenario.s2_session.Session.network "VISA" true;
   let paid =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    request_str s.Scenario.s2_session ~requester:"Bob"
       ~target:"E-Learn" {|enroll(cs411, "Bob", "IBM", Email, Price)|}
   in
   Alcotest.(check bool) "paid denied without VISA" false
     (granted paid.Negotiation.outcome);
   let free =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    request_str s.Scenario.s2_session ~requester:"Bob"
       ~target:"E-Learn" {|enroll(cs101, "Bob", "IBM", Email, 0)|}
   in
   Alcotest.(check bool) "free still granted" true (granted free.Negotiation.outcome)
@@ -543,12 +526,12 @@ let test_scenario2_policy_protection () =
      directly is denied, and its text never appears in any message. *)
   let s = Scenario.scenario2 () in
   let r =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    request_str s.Scenario.s2_session ~requester:"Bob"
       ~target:"E-Learn" {|freebieEligible(cs101, "Bob", "IBM", Email)|}
   in
   Alcotest.(check bool) "policy is protected" false (granted r.Negotiation.outcome);
   let free =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Bob"
+    request_str s.Scenario.s2_session ~requester:"Bob"
       ~target:"E-Learn" {|enroll(cs101, "Bob", "IBM", Email, 0)|}
   in
   Alcotest.(check bool) "but the service works" true
@@ -569,9 +552,8 @@ let test_scenario2_stranger_cannot_get_bobs_card () =
      Bob's card. *)
   let s = Scenario.scenario2 () in
   ignore (Session.add_peer s.Scenario.s2_session "Eve");
-  Engine.attach_all s.Scenario.s2_session;
   let r =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"Eve"
+    request_str s.Scenario.s2_session ~requester:"Eve"
       ~target:"Bob" {|visaCard("IBM") @ "VISA"|}
   in
   Alcotest.(check bool) "card stays private" false (granted r.Negotiation.outcome)
@@ -579,7 +561,7 @@ let test_scenario2_stranger_cannot_get_bobs_card () =
 let test_scenario2_merchant_gets_bobs_card () =
   let s = Scenario.scenario2 () in
   let r =
-    Negotiation.request_str s.Scenario.s2_session ~requester:"E-Learn"
+    request_str s.Scenario.s2_session ~requester:"E-Learn"
       ~target:"Bob" {|visaCard("IBM") @ "VISA"|}
   in
   Alcotest.(check bool) "policy27 satisfied by E-Learn" true
@@ -614,7 +596,6 @@ let test_strategies_all_fail_when_impossible () =
       in
       ignore (Session.add_peer session ~program:owner "bob");
       ignore (Session.add_peer session "alice");
-      Engine.attach_all session;
       let r =
         Strategy.negotiate session ~strategy ~requester:"alice" ~target:"bob"
           (lit {|resource("r1")|})
@@ -677,7 +658,6 @@ let test_chain_discovery_linear () =
     Chain.linear_world ~depth:4 ~pred:"member" ~subject:"sam" ()
   in
   ignore (Session.add_peer session "client");
-  Engine.attach_all session;
   let result =
     Chain.discover session ~requester:"client" ~root (lit {|member("sam")|})
   in
@@ -690,7 +670,6 @@ let test_chain_discovery_broken () =
     Chain.linear_world ~depth:3 ~pred:"member" ~subject:"sam" ()
   in
   ignore (Session.add_peer session "client");
-  Engine.attach_all session;
   Net.Network.set_down session.Session.network last true;
   let result =
     Chain.discover session ~requester:"client" ~root (lit {|member("sam")|})
@@ -702,7 +681,6 @@ let test_chain_discovery_wrong_subject () =
     Chain.linear_world ~depth:2 ~pred:"member" ~subject:"sam" ()
   in
   ignore (Session.add_peer session "client");
-  Engine.attach_all session;
   let result =
     Chain.discover session ~requester:"client" ~root (lit {|member("eve")|})
   in
@@ -861,7 +839,7 @@ let test_proof_redaction () =
 let test_grid_submission () =
   let g = Scenario.grid () in
   let submit q cores =
-    Negotiation.request_str g.Scenario.g_session ~requester:g.Scenario.g_user
+    request_str g.Scenario.g_session ~requester:g.Scenario.g_user
       ~target:g.Scenario.g_cluster
       (Printf.sprintf {|submit(%s, "ada", %d)|} q cores)
   in
@@ -877,7 +855,7 @@ let test_grid_delegated_membership () =
      registration service. *)
   let g = Scenario.grid () in
   let r =
-    Negotiation.request_str g.Scenario.g_session ~requester:g.Scenario.g_user
+    request_str g.Scenario.g_session ~requester:g.Scenario.g_user
       ~target:g.Scenario.g_cluster {|submit(batch, "ada", 1)|}
   in
   Alcotest.(check bool) "granted" true (granted r.Negotiation.outcome);
@@ -891,7 +869,7 @@ let test_grid_marketplace_goals_all_run () =
   List.iter
     (fun (learner, provider, goal) ->
       let r =
-        Negotiation.request mp.Scenario.mp_session ~requester:learner
+        Reactor.negotiate mp.Scenario.mp_session ~requester:learner
           ~target:provider goal
       in
       Alcotest.(check bool)
@@ -913,8 +891,7 @@ let test_attach_proofs_mode () =
            badge("req") @ "CA" signedBy ["CA"].|}
        "owner");
   ignore (Session.add_peer session "req");
-  Engine.attach_all session;
-  match Engine.query session ~requester:"req" ~target:"owner" (lit {|eligible("req")|}) with
+  match query session ~requester:"req" ~target:"owner" (lit {|eligible("req")|}) with
   | [ (_, Some trace) ] ->
       (* The attached proof uses the owner's signed badge credential. *)
       let creds = Trace.credentials trace in
@@ -928,7 +905,7 @@ let test_attach_proofs_mode () =
 
 let test_attach_proofs_off_by_default () =
   let session = two_peer_session {|info(1) $ true.|} "" in
-  match Engine.query session ~requester:"req" ~target:"owner" (lit "info(X)") with
+  match query session ~requester:"req" ~target:"owner" (lit "info(X)") with
   | [ (_, None) ] -> ()
   | [ (_, Some _) ] -> Alcotest.fail "no proof expected by default"
   | _ -> Alcotest.fail "one instance expected"
@@ -940,7 +917,7 @@ let test_policy_chain_message_growth () =
   let messages depth =
     let w = Scenario.policy_chain ~depth () in
     let r =
-      Negotiation.request w.Scenario.cw_session ~requester:w.Scenario.cw_requester
+      Reactor.negotiate w.Scenario.cw_session ~requester:w.Scenario.cw_requester
         ~target:w.Scenario.cw_owner w.Scenario.cw_goal
     in
     Alcotest.(check bool)
@@ -955,7 +932,7 @@ let test_fanout_message_growth () =
   let messages width =
     let w = Scenario.fanout ~width () in
     let r =
-      Negotiation.request w.Scenario.cw_session ~requester:w.Scenario.cw_requester
+      Reactor.negotiate w.Scenario.cw_session ~requester:w.Scenario.cw_requester
         ~target:w.Scenario.cw_owner w.Scenario.cw_goal
     in
     Alcotest.(check bool)
@@ -981,7 +958,6 @@ let () =
         ] );
       ( "peer",
         [
-          tc "cycle detection" test_peer_cycle_detection;
           tc "goal key alpha-invariance" test_peer_goal_key_alpha_invariant;
           tc "certificate store" test_peer_cert_store;
         ] );
@@ -1001,7 +977,6 @@ let () =
           tc "verification ablation" test_engine_verification_ablation;
           tc "instance caching" test_engine_instance_caching;
           tc "message budget" test_engine_message_budget;
-          tc "hop budget" test_engine_max_hops;
         ] );
       ( "scenario1",
         [

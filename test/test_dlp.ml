@@ -624,6 +624,38 @@ let test_sld_max_depth () =
   Alcotest.(check bool) "bounded" true (List.length answers <= 5);
   Alcotest.(check bool) "nonempty" true (answers <> [])
 
+let test_sld_ground_conjunction_linear () =
+  (* Twenty ground goals with two proofs each, then one that fails: the
+     search gives up after trying each goal once instead of retrying
+     the 2^20 proof combinations — and still finds every answer when
+     nothing fails. *)
+  let w = 20 in
+  let src =
+    String.concat ""
+      (List.init w (fun i ->
+           Printf.sprintf "c%d(a). c%d(X) <- d%d(X). d%d(a).\n" i i i i))
+  in
+  let kb = Kb.of_string src in
+  let conj = String.concat ", " (List.init w (Printf.sprintf "c%d(a)")) in
+  let steps () =
+    Peertrust_obs.Registry.counter_value (Peertrust_obs.Obs.snapshot ())
+      "sld.steps"
+  in
+  let before = steps () in
+  Alcotest.(check int) "no answer" 0
+    (List.length
+       (Sld.solve ~self:"p" kb (Parser.parse_query (conj ^ ", missing(a)"))));
+  let spent = steps () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "linear search (%d steps)" spent)
+    true
+    (spent <= 4 * w);
+  Alcotest.(check int) "every proof while nothing fails" 4
+    (List.length
+       (Sld.solve
+          ~options:{ Sld.default_options with max_solutions = 4 }
+          ~self:"p" kb (Parser.parse_query conj)))
+
 let test_sld_proof_trace () =
   let kb =
     Kb.of_string
@@ -1145,6 +1177,8 @@ let () =
           tc "external predicates" test_sld_externals;
           tc "max solutions" test_sld_max_solutions;
           tc "max depth" test_sld_max_depth;
+          tc "ground conjunction fails in linear time"
+            test_sld_ground_conjunction_linear;
           tc "proof trace credentials" test_sld_proof_trace;
           tc "trace instantiation" test_sld_trace_fully_instantiated;
         ] );

@@ -10,6 +10,10 @@ module Rdf = Peertrust_rdf
 let lit = Parser.parse_literal
 let granted = Negotiation.succeeded
 
+(* One relevant-strategy negotiation from a goal text. *)
+let request_str session ~requester ~target goal =
+  Reactor.negotiate session ~requester ~target (lit goal)
+
 (* ------------------------------------------------------------------ *)
 (* Broker / authority databases (§4.2) *)
 
@@ -20,7 +24,6 @@ let test_broker_lookup () =
     Broker.add_broker session ~name:"broker"
       ~directory:[ ("purchaseApproved", "VISA"); ("approve", "approver") ]
   in
-  Engine.attach_all session;
   Alcotest.(check (list string)) "lookup" [ "VISA" ]
     (Broker.lookup session ~requester:"client" ~broker:"broker"
        ~pred:"purchaseApproved");
@@ -42,9 +45,8 @@ let test_broker_resolved_authority_in_policy () =
   ignore
     (Broker.add_broker session ~name:"broker"
        ~directory:[ ("approve", "approver") ]);
-  Engine.attach_all session;
   let r =
-    Negotiation.request_str session ~requester:"client" ~target:"owner"
+    request_str session ~requester:"client" ~target:"owner"
       {|service("client")|}
   in
   Alcotest.(check bool) "granted through broker" true (granted r);
@@ -68,9 +70,8 @@ let test_local_authority_database () =
   Broker.install_directory owner [ ("approve", "approver") ];
   ignore (Session.add_peer session ~program:{|approve("client") $ true.|} "approver");
   ignore (Session.add_peer session "client");
-  Engine.attach_all session;
   let r =
-    Negotiation.request_str session ~requester:"client" ~target:"owner"
+    request_str session ~requester:"client" ~target:"owner"
       {|service("client")|}
   in
   Alcotest.(check bool) "granted via local directory" true (granted r)
@@ -92,7 +93,6 @@ let proxy_world () =
     (Session.add_peer session
        ~program:{|cred("device") @ "CA" $ true signedBy ["CA"].|}
        "home");
-  Engine.attach_all session;
   ignore (Proxy.attach_device session ~device:"device" ~proxy:"home");
   session
 
@@ -101,7 +101,7 @@ let test_proxy_negotiation_succeeds () =
   (* The owner counter-queries the device; the device forwards to home,
      which releases Bob's credential. *)
   let r =
-    Negotiation.request_str session ~requester:"device" ~target:"owner"
+    request_str session ~requester:"device" ~target:"owner"
       {|resource("r")|}
   in
   Alcotest.(check bool) "granted through the proxy" true (granted r);
@@ -116,7 +116,7 @@ let test_proxy_unreachable () =
   let session = proxy_world () in
   Net.Network.set_down session.Session.network "home" true;
   let r =
-    Negotiation.request_str session ~requester:"device" ~target:"owner"
+    request_str session ~requester:"device" ~target:"owner"
       {|resource("r")|}
   in
   Alcotest.(check bool) "denied when the proxy is down" false (granted r)
@@ -172,7 +172,7 @@ let test_analysis_agrees_with_runtime () =
   let predicted = Analysis.may_succeed world ~owner:"bob" ~goal:w.Scenario.cw_goal in
   let actual =
     granted
-      (Negotiation.request w.Scenario.cw_session ~requester:"alice"
+      (Reactor.negotiate w.Scenario.cw_session ~requester:"alice"
          ~target:"bob" w.Scenario.cw_goal)
   in
   Alcotest.(check bool) "prediction matches runtime" actual predicted
@@ -251,7 +251,6 @@ let three_party_world () =
     (Session.add_peer session
        ~program:{|voucher("alice") @ "CA" $ true signedBy ["CA"].|}
        "carol");
-  Engine.attach_all session;
   session
 
 let test_multi_eager_succeeds_where_two_party_fails () =
@@ -288,7 +287,6 @@ let test_multi_eager_terminates_on_failure () =
        "owner");
   ignore (Session.add_peer session "alice");
   ignore (Session.add_peer session "carol");
-  Engine.attach_all session;
   let r =
     Strategy.negotiate_multi session
       ~participants:[ "alice"; "owner"; "carol" ]
@@ -312,16 +310,15 @@ let test_learned_credential_private_by_default () =
        "A");
   ignore (Session.add_peer session "B");
   ignore (Session.add_peer session "C");
-  Engine.attach_all session;
   let r_b =
-    Negotiation.request_str session ~requester:"B" ~target:"A"
+    request_str session ~requester:"B" ~target:"A"
       {|secret(X) @ "CA"|}
   in
   Alcotest.(check bool) "friend B gets the secret" true (granted r_b);
   Alcotest.(check bool) "B holds the certificate" true
     (Hashtbl.length (Session.peer session "B").Peer.certs > 0);
   let r_c =
-    Negotiation.request_str session ~requester:"C" ~target:"B"
+    request_str session ~requester:"C" ~target:"B"
       {|secret(X) @ "CA"|}
   in
   Alcotest.(check bool) "C cannot pull it out of B" false (granted r_c)
@@ -341,22 +338,21 @@ let test_sticky_context_travels_with_credential () =
   ignore (Session.add_peer session ~program:{|friend("C").|} "B");
   ignore (Session.add_peer session "C");
   ignore (Session.add_peer session "D");
-  Engine.attach_all session;
   let r_b =
-    Negotiation.request_str session ~requester:"B" ~target:"A"
+    request_str session ~requester:"B" ~target:"A"
       {|secret(X) @ "CA"|}
   in
   Alcotest.(check bool) "B obtains it (A's friend)" true (granted r_b);
   (* B considers C a friend, so the sticky context admits C... *)
   let r_c =
-    Negotiation.request_str session ~requester:"C" ~target:"B"
+    request_str session ~requester:"C" ~target:"B"
       {|secret(X) @ "CA"|}
   in
   Alcotest.(check bool) "C admitted under the travelling policy" true
     (granted r_c);
   (* ...but D is nobody's friend. *)
   let r_d =
-    Negotiation.request_str session ~requester:"D" ~target:"B"
+    request_str session ~requester:"D" ~target:"B"
       {|secret(X) @ "CA"|}
   in
   Alcotest.(check bool) "D still locked out" false (granted r_d)
@@ -391,10 +387,9 @@ let test_content_triggered_policy () =
     (Session.add_peer session
        ~program:{|staff("emp") @ "HR" $ true signedBy ["HR"].|}
        "emp");
-  Engine.attach_all session;
   let try_printer p =
     granted
-      (Negotiation.request_str session ~requester:"emp" ~target:"owner"
+      (request_str session ~requester:"emp" ~target:"owner"
          (Printf.sprintf {|print(%s, "emp")|} p))
   in
   Alcotest.(check bool) "3rd-floor color printer covered" true (try_printer "pr1");
@@ -412,7 +407,7 @@ let contains ~sub s =
 let test_explain_narrative () =
   let s = Scenario.scenario1 () in
   let r =
-    Negotiation.request_str s.Scenario.s1_session ~requester:"Alice"
+    request_str s.Scenario.s1_session ~requester:"Alice"
       ~target:"E-Learn" {|discountEnroll(spanish101, "Alice")|}
   in
   let text = Explain.narrative r in
@@ -426,7 +421,7 @@ let test_explain_narrative () =
 let test_explain_narrative_denial () =
   let s = Scenario.scenario1 () in
   let r =
-    Negotiation.request_str s.Scenario.s1_session ~requester:"E-Learn"
+    request_str s.Scenario.s1_session ~requester:"E-Learn"
       ~target:"UIUC" {|student("Alice")|}
   in
   let text = Explain.narrative r in
@@ -436,7 +431,7 @@ let test_explain_narrative_denial () =
 let test_explain_sequence_diagram () =
   let s = Scenario.scenario1 () in
   let r =
-    Negotiation.request_str s.Scenario.s1_session ~requester:"Alice"
+    request_str s.Scenario.s1_session ~requester:"Alice"
       ~target:"E-Learn" {|discountEnroll(spanish101, "Alice")|}
   in
   let mmd = Explain.sequence_diagram r in
@@ -456,7 +451,7 @@ let test_explain_proof_dot () =
           student("p") @ "UIUC" signedBy ["UIUC"].|}
       "p"
   in
-  match Engine.evaluate session p [ Parser.parse_literal {|eligible("p")|} ] with
+  match Engine.evaluate p [ Parser.parse_literal {|eligible("p")|} ] with
   | { Sld.proofs = [ trace ]; _ } :: _ ->
       let dot = Explain.proof_dot trace in
       Alcotest.(check bool) "digraph" true (contains ~sub:"digraph proof" dot);
@@ -487,14 +482,13 @@ let test_authenticates_to () =
   in
   ignore owner;
   ignore (Session.add_peer session "Alice");
-  Engine.attach_all session;
   let ok =
-    Negotiation.request_str session ~requester:"Alice" ~target:"owner"
+    request_str session ~requester:"Alice" ~target:"owner"
       {|preferred("Alice")|}
   in
   Alcotest.(check bool) "Alice authenticates" true (granted ok);
   let no =
-    Negotiation.request_str session ~requester:"Alice" ~target:"owner"
+    request_str session ~requester:"Alice" ~target:"owner"
       {|preferred("Mallory")|}
   in
   Alcotest.(check bool) "Mallory does not" false (granted no)
@@ -604,7 +598,6 @@ let test_qel_network_search () =
   let program = Qel.searchable_program (demo_registry ()) in
   ignore (Session.add_peer session ~program "provider");
   ignore (Session.add_peer session "seeker");
-  Engine.attach_all session;
   let q = Qel.parse "C, P <- price(C, P), P < 1500" in
   let rows = Qel.search session ~requester:"seeker" ~provider:"provider" q in
   (* cs411 ($1000) and the raw zero-price fact of the free course. *)
@@ -629,7 +622,6 @@ let test_qel_search_all () =
   ignore
     (Session.add_peer session ~program:(Qel.searchable_program reg_b) "prov_b");
   ignore (Session.add_peer session "seeker");
-  Engine.attach_all session;
   let q = Qel.parse "C <- price(C, P)" in
   let results =
     Qel.search_all session ~requester:"seeker"
@@ -651,7 +643,6 @@ let test_qel_respects_release_policies () =
            price(C, P) $ partner(Requester) <-{true} price(C, P).|}
        "provider");
   ignore (Session.add_peer session "seeker");
-  Engine.attach_all session;
   let q = Qel.parse "C <- price(C, P)" in
   Alcotest.(check int) "guarded catalogue hidden" 0
     (List.length (Qel.search session ~requester:"seeker" ~provider:"provider" q))

@@ -42,21 +42,23 @@ let test_message_kinds_and_sizes () =
     (Message.size q < Message.size d);
   Alcotest.(check int) "no certs in query" 0 (Message.cert_count q)
 
-let echo_handler ~from:_ payload =
-  match payload with
-  | Message.Query { goal } ->
-      Message.Answer { goal; instances = [ (goal, None) ]; certs = [] }
-  | _ -> Message.Ack
+(* A request/response exchange is two one-way posts: "client" sends the
+   query, and the target answers the query it was delivered.  Returns
+   the answer's envelopes. *)
+let echo net ~target goal =
+  match Network.post net ~from:"client" ~target (Message.Query { goal }) with
+  | [ { Envelope.payload = Message.Query { goal }; _ } ] ->
+      Network.post net ~from:target ~target:"client"
+        (Message.Answer { goal; instances = [ (goal, None) ]; certs = [] })
+  | envs ->
+      Alcotest.failf "expected 1 query envelope, got %d" (List.length envs)
 
 let test_network_roundtrip () =
   let net = Network.create () in
-  Network.register net "server" echo_handler;
-  let resp =
-    Network.send net ~from:"client" ~target:"server"
-      (Message.Query { goal = lit "ping(1)" })
-  in
-  (match resp with
-  | Message.Answer { instances = [ (l, None) ]; _ } ->
+  (match echo net ~target:"server" (lit "ping(1)") with
+  | [
+      { Envelope.payload = Message.Answer { instances = [ (l, None) ]; _ }; _ };
+    ] ->
       Alcotest.(check string) "echoed" "ping(1)" (Dlp.Literal.to_string l)
   | _ -> Alcotest.fail "expected answer");
   Alcotest.(check int) "two messages" 2 (Stats.messages (Network.stats net));
@@ -64,60 +66,51 @@ let test_network_roundtrip () =
 
 let test_network_latency () =
   let net = Network.create ~latency:5 () in
-  Network.register net "server" echo_handler;
-  ignore
-    (Network.send net ~from:"client" ~target:"server"
-       (Message.Query { goal = lit "ping(1)" }));
+  ignore (echo net ~target:"server" (lit "ping(1)"));
   Alcotest.(check int) "10 ticks for a round trip" 10 (Clock.now (Network.clock net))
 
 let test_network_unknown_peer () =
-  let net = Network.create () in
-  Alcotest.check_raises "unknown" (Network.Unreachable "ghost") (fun () ->
-      ignore
-        (Network.send net ~from:"client" ~target:"ghost"
-           (Message.Query { goal = lit "ping(1)" })))
+  (* The network carries whatever it is given; which names are peers is
+     the reactor's business.  A query to a name that is no session peer
+     is denied as unreachable, and no message is charged for it. *)
+  let session = Peertrust.Session.create () in
+  ignore (Peertrust.Session.add_peer session "client");
+  let r =
+    Peertrust.Reactor.negotiate session ~requester:"client" ~target:"ghost"
+      (lit "ping(1)")
+  in
+  (match r.Peertrust.Negotiation.outcome with
+  | Peertrust.Negotiation.Denied reason ->
+      Alcotest.(check string) "unreachable" "unreachable: ghost" reason
+  | Peertrust.Negotiation.Granted _ -> Alcotest.fail "ghost answered");
+  Alcotest.(check int) "nothing charged" 0 r.Peertrust.Negotiation.messages
 
 let test_network_down_peer () =
   let net = Network.create () in
-  Network.register net "server" echo_handler;
+  let q () = Message.Query { goal = lit "ping(1)" } in
   Network.set_down net "server" true;
   Alcotest.(check bool) "marked down" true (Network.is_down net "server");
   Alcotest.check_raises "down" (Network.Unreachable "server") (fun () ->
-      ignore
-        (Network.send net ~from:"client" ~target:"server"
-           (Message.Query { goal = lit "ping(1)" })));
+      ignore (Network.post net ~from:"client" ~target:"server" (q ())));
+  Alcotest.(check int) "nothing charged" 0 (Stats.messages (Network.stats net));
   Network.set_down net "server" false;
-  ignore
-    (Network.send net ~from:"client" ~target:"server"
-       (Message.Query { goal = lit "ping(1)" }))
+  ignore (Network.post net ~from:"client" ~target:"server" (q ()))
 
 let test_network_budget () =
   let net = Network.create ~max_messages:3 () in
-  Network.register net "server" echo_handler;
-  ignore
-    (Network.send net ~from:"client" ~target:"server"
-       (Message.Query { goal = lit "ping(1)" }));
-  (* Second round trip would exceed 3 messages on its response. *)
+  ignore (echo net ~target:"server" (lit "ping(1)"));
+  (* The second round trip would exceed 3 messages on its response. *)
   Alcotest.check_raises "budget" Network.Budget_exhausted (fun () ->
-      ignore
-        (Network.send net ~from:"client" ~target:"server"
-           (Message.Query { goal = lit "ping(2)" }));
-      ignore
-        (Network.send net ~from:"client" ~target:"server"
-           (Message.Query { goal = lit "ping(3)" })))
+      ignore (echo net ~target:"server" (lit "ping(2)")))
 
 let test_network_link_latency () =
   let net = Network.create ~latency:1 () in
-  Network.register net "far" echo_handler;
-  Network.register net "near" echo_handler;
   Network.set_link_latency net ~from:"client" ~target:"far" 10;
   Alcotest.(check int) "override read back" 10
     (Network.link_latency net ~from:"client" ~target:"far");
   Alcotest.(check int) "default elsewhere" 1
     (Network.link_latency net ~from:"client" ~target:"near");
-  ignore
-    (Network.send net ~from:"client" ~target:"far"
-       (Message.Query { goal = lit "ping(1)" }));
+  ignore (echo net ~target:"far" (lit "ping(1)"));
   (* 10 ticks out (overridden), 1 back (default). *)
   Alcotest.(check int) "asymmetric round trip" 11 (Clock.now (Network.clock net));
   Alcotest.check_raises "negative rejected"
@@ -125,20 +118,19 @@ let test_network_link_latency () =
       Network.set_link_latency net ~from:"a" ~target:"b" (-1))
 
 let test_network_notify () =
+  (* A post is one-way: accounted and logged once, with no response. *)
   let net = Network.create () in
-  Network.register net "server" echo_handler;
-  Network.notify net ~from:"client" ~target:"server"
-    (Message.Query { goal = lit "ping(1)" });
-  (* One direction only: accounted but no handler response. *)
+  let envs =
+    Network.post net ~from:"client" ~target:"server"
+      (Message.Query { goal = lit "ping(1)" })
+  in
+  Alcotest.(check int) "one envelope" 1 (List.length envs);
   Alcotest.(check int) "one message" 1 (Stats.messages (Network.stats net));
   Alcotest.(check int) "one entry" 1 (List.length (Network.transcript net))
 
 let test_network_transcript () =
   let net = Network.create () in
-  Network.register net "server" echo_handler;
-  ignore
-    (Network.send net ~from:"client" ~target:"server"
-       (Message.Query { goal = lit "ping(1)" }));
+  ignore (echo net ~target:"server" (lit "ping(1)"));
   let log = Network.transcript net in
   Alcotest.(check int) "two entries" 2 (List.length log);
   (match log with
@@ -150,29 +142,6 @@ let test_network_transcript () =
   | _ -> Alcotest.fail "expected two entries");
   Network.clear_transcript net;
   Alcotest.(check int) "cleared" 0 (List.length (Network.transcript net))
-
-let test_network_reregister () =
-  let net = Network.create () in
-  Network.register net "server" echo_handler;
-  Network.register net "server" (fun ~from:_ _ -> Message.Ack);
-  (match
-     Network.send net ~from:"client" ~target:"server"
-       (Message.Query { goal = lit "ping(1)" })
-   with
-  | Message.Ack -> ()
-  | _ -> Alcotest.fail "replacement handler should answer");
-  Network.unregister net "server";
-  Alcotest.check_raises "unregistered" (Network.Unreachable "server")
-    (fun () ->
-      ignore
-        (Network.send net ~from:"client" ~target:"server"
-           (Message.Query { goal = lit "ping(1)" })))
-
-let test_network_registered_list () =
-  let net = Network.create () in
-  Network.register net "b" echo_handler;
-  Network.register net "a" echo_handler;
-  Alcotest.(check (list string)) "sorted" [ "a"; "b" ] (Network.registered net)
 
 (* ------------------------------------------------------------------ *)
 (* Wire framing and trace propagation *)
@@ -283,7 +252,6 @@ let test_wire_decode_garbage () =
 
 let test_post_stamps_trace () =
   let net = Network.create () in
-  Network.register net "server" echo_handler;
   let q () = Message.Query { goal = lit "ping(1)" } in
   (match Network.post net ~from:"client" ~target:"server" (q ()) with
   | [ env ] ->
@@ -300,7 +268,6 @@ let test_post_stamps_trace () =
 let test_post_duplicates_share_trace () =
   (* Every duplicated copy carries the same propagated context. *)
   let net = Network.create () in
-  Network.register net "server" echo_handler;
   Network.set_faults net (Faults.create ~duplicate:1.0 ~seed:9L ());
   let ctx = Tctx.make ~trace_id:6 ~parent_span:2 () in
   match
@@ -332,8 +299,6 @@ let () =
           tc "per-link latency" test_network_link_latency;
           tc "one-way notify" test_network_notify;
           tc "transcript" test_network_transcript;
-          tc "re-register / unregister" test_network_reregister;
-          tc "registered list" test_network_registered_list;
         ] );
       ( "wire",
         [

@@ -708,8 +708,8 @@ let test_scenario_instrumentation () =
   Obs.set_tracer (Tracer.create ~now:(fun () -> Net.Clock.now clock) ());
   Fun.protect ~finally:Obs.disable_tracing (fun () ->
       let r =
-        Core.Negotiation.request_str session ~requester:"Alice"
-          ~target:"E-Learn" {|discountEnroll(spanish101, "Alice")|}
+        Core.Reactor.negotiate session ~requester:"Alice" ~target:"E-Learn"
+          (Core.Scenario.scenario1_goal ())
       in
       Alcotest.(check bool) "negotiation granted" true
         (Core.Negotiation.succeeded r);
@@ -721,7 +721,7 @@ let test_scenario_instrumentation () =
       in
       List.iter nonzero
         [
-          "engine.queries"; "engine.answers"; "net.messages";
+          "reactor.posts"; "engine.answers"; "net.messages";
           "net.messages.query"; "sld.queries"; "sld.steps";
           "negotiation.count"; "negotiation.granted";
         ];
@@ -729,7 +729,8 @@ let test_scenario_instrumentation () =
       | Some hs -> Alcotest.(check int) "one negotiation observed" 1
             hs.Metric.hs_count
       | None -> Alcotest.fail "negotiation.messages histogram missing");
-      (* The span tree nests negotiation > query > resolution. *)
+      (* The span tree nests negotiation > delivered query > answer >
+         resolution. *)
       let spans = Obs.spans () in
       let find name =
         List.find_opt (fun (sp : Span.t) -> sp.Span.name = name) spans
@@ -740,12 +741,13 @@ let test_scenario_instrumentation () =
         | None -> Alcotest.failf "missing %S span" name
       in
       let nego = get "negotiation" in
-      let query = get "query" in
+      let query = get "recv.query" in
+      let answer = get "answer" in
       let sld = get "sld.solve" in
       Alcotest.(check (option int)) "negotiation is a root" None
         nego.Span.parent;
       Alcotest.(check (option string))
-        "query under negotiation (via net.send)"
+        "query under negotiation (via net.wire)"
         (Some "negotiation")
         (let rec root_of (sp : Span.t) =
            match sp.Span.parent with
@@ -758,8 +760,10 @@ let test_scenario_instrumentation () =
                | None -> None)
          in
          root_of query);
-      Alcotest.(check bool) "sld.solve nested below query" true
-        (sld.Span.id > query.Span.id && sld.Span.parent <> None))
+      Alcotest.(check (option int)) "answer under the delivered query"
+        (Some query.Span.id) answer.Span.parent;
+      Alcotest.(check bool) "sld.solve nested below answer" true
+        (sld.Span.id > answer.Span.id && sld.Span.parent <> None))
 
 (* Every resolution step lands in exactly one per-query histogram
    observation: a negotiation nests solver calls (remote sub-queries enter
@@ -772,8 +776,8 @@ let test_sld_steps_histogram_consistent () =
   let s = Core.Scenario.scenario1 () in
   let session = s.Core.Scenario.s1_session in
   let r =
-    Core.Negotiation.request_str session ~requester:"Alice" ~target:"E-Learn"
-      {|discountEnroll(spanish101, "Alice")|}
+    Core.Reactor.negotiate session ~requester:"Alice" ~target:"E-Learn"
+      (Core.Scenario.scenario1_goal ())
   in
   Alcotest.(check bool) "negotiation granted" true
     (Core.Negotiation.succeeded r);

@@ -68,7 +68,7 @@ let prop_no_unsafe_disclosure =
               | None -> ()  (* the peer's own credential *)
               | Some origin ->
                   let origin_peer = Session.peer session origin in
-                  let prover = Engine.prover session origin_peer in
+                  let prover = Engine.prover origin_peer in
                   let decision =
                     Policy.credential_releasable ~prover
                       ~kb:origin_peer.Peer.kb ~requester:holder.Peer.name
@@ -525,63 +525,15 @@ let prop_indexing_transparent =
 (* ------------------------------------------------------------------ *)
 (* Differential: the flat resolution path (int-array clauses, hash-consed
    ground ids, first-argument index, canonical-encoding ancestor check)
-   against a boxed map-substitution oracle that mirrors the solver's
-   search order — facts before proper rules in insertion order,
-   variant-ancestor pruning, per-application depth budget.  The answer
+   against the boxed map-substitution oracle ({!Peertrust_oracle.Oracle},
+   shared with the resolution benchmark) that mirrors the solver's search
+   order — facts before proper rules in insertion order, variant-ancestor
+   pruning, per-application depth budget.  The answer
    LISTS must be equal: same solutions in the same order, not just the
    same sets (solution order is what negotiation transcripts pin).
    Programs are stratified joins whose facts carry nested compounds,
    strings and ints, so goals route through every flat-argument class:
    ground id, compound escape, and variable slot. *)
-
-let boxed_oracle_answers ~max_depth ~self kb goals =
-  let initial = Subst.bind "Self" (Term.str self) Subst.empty in
-  let results = ref [] in
-  let rec prove goal subst depth ancestors k =
-    if depth <= 0 then ()
-    else
-      let goal = Literal.apply subst goal in
-      let gt = Literal.to_term goal in
-      if
-        List.exists
-          (fun anc ->
-            Unify.variant (Literal.to_term (Literal.apply subst anc)) gt)
-          ancestors
-      then ()
-      else begin
-        let ancestors' = goal :: ancestors in
-        let use rule =
-          let r = Rule.rename_apart rule in
-          match Literal.unify goal r.Rule.head subst with
-          | None -> ()
-          | Some s' -> prove_all r.Rule.body s' (depth - 1) ancestors' k
-        in
-        let facts, proper = List.partition Rule.is_fact (Kb.matching goal kb) in
-        List.iter use facts;
-        List.iter use proper
-      end
-  and prove_all goals subst depth ancestors k =
-    match goals with
-    | [] -> k subst
-    | g :: rest ->
-        prove g subst depth ancestors (fun s' ->
-            prove_all rest s' depth ancestors k)
-  in
-  let qvars =
-    List.concat_map Literal.vars goals
-    |> List.filter (fun v -> not (Term.is_pseudo v))
-  in
-  prove_all goals initial max_depth [] (fun s ->
-      results := Subst.restrict qvars s :: !results);
-  let seen = Hashtbl.create 64 in
-  List.rev !results
-  |> List.filter (fun s ->
-         let key = Subst.to_string s in
-         if Hashtbl.mem seen key then false
-         else begin
-           Hashtbl.add seen key ();
-           true
-         end)
 
 let gen_flat_program =
   QCheck.Gen.(
@@ -648,7 +600,7 @@ let prop_flat_boxed_differential =
         |> List.map Subst.to_string
       in
       let oracle =
-        boxed_oracle_answers ~max_depth:48 ~self:"p" kb goals
+        Peertrust_oracle.Oracle.answers ~max_depth:48 ~self:"p" kb goals
         |> List.map Subst.to_string
       in
       engine = oracle)
@@ -1054,7 +1006,6 @@ let prop_distributed_tabling_agrees =
           ignore (Session.add_peer session ~program name))
         dw.dw_programs;
       ignore (Session.add_peer session "client");
-      Engine.attach_all session;
       let goal = Parser.parse_literal (dw.dw_top ^ "(A, B)") in
       let reactor =
         Reactor.create

@@ -1,6 +1,8 @@
-(* Tests for the queued (asynchronous) negotiation engine: equivalence
-   with the synchronous engine on the paper scenarios, interleaved
-   concurrent negotiations, quiescence on deadlock, and failure modes. *)
+(* Tests for the queued (asynchronous) negotiation engine, the one
+   negotiation runtime: the paper scenarios at the message costs of
+   depth-first recursion, outcomes against the static analysis oracle,
+   interleaved concurrent negotiations, quiescence on deadlock, failure
+   modes, and one negotiation count per entry point. *)
 
 open Peertrust
 open Peertrust_dlp
@@ -71,31 +73,84 @@ let test_reactor_scenario2_free () =
   in
   Alcotest.(check bool) "scenario 2 free course granted" true (granted outcome)
 
-let test_reactor_matches_sync_on_chains () =
+let test_reactor_matches_analysis_on_chains () =
+  (* The runtime's outcome on policy chains, complete and missing each
+     credential in turn, is what the static analysis predicts. *)
   List.iter
     (fun depth ->
       List.iter
         (fun missing ->
-          (* Synchronous run. *)
-          let w1 = Scenario.policy_chain ~depth ?missing () in
-          let sync =
-            Negotiation.succeeded
-              (Negotiation.request w1.Scenario.cw_session ~requester:"alice"
-                 ~target:"bob" w1.Scenario.cw_goal)
+          let w = Scenario.policy_chain ~depth ?missing () in
+          let predicted =
+            Analysis.may_succeed
+              (Analysis.world_of_session w.Scenario.cw_session)
+              ~owner:"bob" ~goal:w.Scenario.cw_goal
           in
-          (* Queued run on a fresh world. *)
-          let w2 = Scenario.policy_chain ~depth ?missing () in
-          let async =
+          let actual =
             granted
-              (run_reactor w2.Scenario.cw_session ~requester:"alice"
-                 ~target:"bob" w2.Scenario.cw_goal)
+              (run_reactor w.Scenario.cw_session ~requester:"alice"
+                 ~target:"bob" w.Scenario.cw_goal)
           in
           Alcotest.(check bool)
             (Printf.sprintf "depth %d missing %s agree" depth
                (match missing with Some k -> string_of_int k | None -> "-"))
-            sync async)
-        [ None; Some 1; Some depth ])
+            predicted actual)
+        (None :: List.init depth (fun k -> Some (k + 1))))
     [ 1; 2; 4 ]
+
+let test_reactor_recursion_costs () =
+  (* Waiting on one remote call at a time costs what depth-first
+     recursion did on every granted world: one counter-query round trip
+     per policy level. *)
+  let chain ?missing depth =
+    let w = Scenario.policy_chain ?missing ~depth () in
+    Reactor.negotiate w.Scenario.cw_session ~requester:"alice" ~target:"bob"
+      w.Scenario.cw_goal
+  in
+  List.iter2
+    (fun depth msgs ->
+      let r = chain depth in
+      Alcotest.(check bool) "granted" true (Negotiation.succeeded r);
+      Alcotest.(check int)
+        (Printf.sprintf "depth %d messages" depth)
+        msgs r.Negotiation.messages)
+    [ 1; 2; 4; 8; 16 ] [ 4; 6; 10; 18; 34 ];
+  (* A depth-8 chain missing credential k is denied after 2k + 2
+     messages (4 for k = 1); recursion re-explored every level below the
+     gap and paid 4, 10, 28, ..., 6562. *)
+  List.iter2
+    (fun k recursion ->
+      let r = chain ~missing:k 8 in
+      Alcotest.(check bool) "denied" false (Negotiation.succeeded r);
+      Alcotest.(check int)
+        (Printf.sprintf "missing %d messages" k)
+        (max 4 ((2 * k) + 2))
+        r.Negotiation.messages;
+      Alcotest.(check bool)
+        (Printf.sprintf "missing %d no dearer than recursion" k)
+        true
+        (r.Negotiation.messages <= recursion))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    [ 4; 10; 28; 82; 244; 730; 2188; 6562 ];
+  let s1 = Scenario.scenario1 () in
+  let r =
+    Reactor.negotiate s1.Scenario.s1_session ~requester:"Alice"
+      ~target:"E-Learn" (Scenario.scenario1_goal ())
+  in
+  Alcotest.(check (list int)) "4.1 messages, bytes, disclosures" [ 6; 677; 3 ]
+    [ r.Negotiation.messages; r.Negotiation.bytes; r.Negotiation.disclosures ];
+  let s2 = Scenario.scenario2 () in
+  let enroll goal =
+    let r =
+      Reactor.negotiate s2.Scenario.s2_session ~requester:"Bob"
+        ~target:"E-Learn" goal
+    in
+    r.Negotiation.messages
+  in
+  Alcotest.(check int) "4.2 free course" 8
+    (enroll (Scenario.scenario2_goal_free ()));
+  Alcotest.(check int) "4.2 paid course" 10
+    (enroll (Scenario.scenario2_goal_paid ()))
 
 let test_reactor_concurrent_negotiations () =
   (* Several negotiations interleave over one queue; all resolve. *)
@@ -340,7 +395,7 @@ let test_reactor_chain_discovery () =
 
 (* ------------------------------------------------------------------ *)
 (* Answer cache: unit behaviour (TTL, capacity, invalidation, watchers)
-   and the reactor integration (warm cross-session runs, batching). *)
+   and the reactor integration (warm cross-session runs). *)
 
 let dummy_answer inst =
   { Answer_cache.instances = [ (lit inst, None) ]; certs = [] }
@@ -471,52 +526,6 @@ let test_cache_warm_cross_session () =
   Alcotest.(check int) "warm run posted nothing" 0 posts_warm;
   Alcotest.(check bool) "warm run hit the cache" true
     (Answer_cache.hits cache > 0)
-
-let test_reactor_batching () =
-  (* Same-tick sub-queries to one peer coalesce into a single Batch
-     envelope: same outcome, fewer envelopes, batch summary on the wire.
-     The release policy has two alternative rules, so one evaluation
-     probes both credentials at the requester in the same tick. *)
-  let posts net = Net.Stats.messages (Net.Network.stats net) in
-  let run config =
-    let session = Session.create () in
-    ignore
-      (Session.add_peer session
-         ~program:
-           {|resource("r") $ pass(Requester) <-{true} haveIt("r").
-             haveIt("r").
-             pass(X) <- c1(X) @ "CA" @ X.
-             pass(X) <- c2(X) @ "CA" @ X.|}
-         "owner");
-    ignore
-      (Session.add_peer session
-         ~program:{|c2("req") @ "CA" $ true signedBy ["CA"].|}
-         "req");
-    let net = session.Session.network in
-    let reactor = Reactor.create ?config session in
-    let id =
-      Reactor.submit reactor ~requester:"req" ~target:"owner"
-        (lit {|resource("r")|})
-    in
-    ignore (Reactor.run reactor);
-    (granted (Reactor.outcome reactor id), posts net, net)
-  in
-  let ok_plain, posts_plain, _ = run None in
-  let ok_batch, posts_batch, batch_net =
-    run (Some { Reactor.default_config with Reactor.batch = true })
-  in
-  Alcotest.(check bool) "plain granted" true ok_plain;
-  Alcotest.(check bool) "batched granted" true ok_batch;
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer envelopes (%d < %d)" posts_batch posts_plain)
-    true
-    (posts_batch < posts_plain);
-  let is_batch e =
-    String.length e.Net.Network.summary >= 5
-    && String.equal (String.sub e.Net.Network.summary 0 5) "batch"
-  in
-  Alcotest.(check bool) "a batch envelope on the wire" true
-    (List.exists is_batch (Net.Network.transcript batch_net))
 
 (* ------------------------------------------------------------------ *)
 (* Inbound guard: structural checks, admission control and the circuit
@@ -766,7 +775,6 @@ let test_tabling_acyclic_chain () =
   ignore (Session.add_peer session ~program:{|hop(X) <- base(X) @ "leaf".|} "mid");
   ignore (Session.add_peer session ~program:{|base(1). base(2).|} "leaf");
   ignore (Session.add_peer session "client");
-  Engine.attach_all session;
   let outcome, reactor =
     run_tabled session ~requester:"client" ~target:"top" (lit "path(X)")
   in
@@ -786,7 +794,6 @@ let test_tabling_naf_unsupported () =
        ~program:{|ok(X) <- base(X), not bad(X). base(1). |}
        "owner");
   ignore (Session.add_peer session "client");
-  Engine.attach_all session;
   let outcome, _ =
     run_tabled session ~requester:"client" ~target:"owner" (lit "ok(X)")
   in
@@ -1039,6 +1046,77 @@ let test_journal_dir_cross_process_resume () =
     "re-learning after replay added nothing" learned
     (wallet_serials session2 "E-Learn")
 
+(* ------------------------------------------------------------------ *)
+(* Every entry point counts one negotiation, where its outcome settles *)
+
+let counter name =
+  Pobs.Registry.counter_value (Pobs.Obs.snapshot ()) name
+
+let counts_once label f =
+  let count = counter "negotiation.count" in
+  let settled =
+    counter "negotiation.granted" + counter "negotiation.denied"
+  in
+  f ();
+  Alcotest.(check int) (label ^ ": one negotiation") (count + 1)
+    (counter "negotiation.count");
+  Alcotest.(check int) (label ^ ": one outcome") (settled + 1)
+    (counter "negotiation.granted" + counter "negotiation.denied")
+
+let test_count_reactor () =
+  counts_once "Reactor.submit" (fun () ->
+      let s = Scenario.scenario1 () in
+      ignore
+        (run_reactor s.Scenario.s1_session ~requester:"Alice"
+           ~target:"E-Learn" (Scenario.scenario1_goal ())));
+  counts_once "Reactor.negotiate" (fun () ->
+      let s = Scenario.scenario1 () in
+      ignore
+        (Reactor.negotiate s.Scenario.s1_session ~requester:"Alice"
+           ~target:"E-Learn" (Scenario.scenario1_goal ())))
+
+let test_count_strategies () =
+  List.iter
+    (fun strategy ->
+      counts_once (Strategy.to_string strategy) (fun () ->
+          let w = Scenario.policy_chain ~depth:2 () in
+          ignore
+            (Strategy.negotiate w.Scenario.cw_session ~strategy
+               ~requester:"alice" ~target:"bob" w.Scenario.cw_goal)))
+    Strategy.all;
+  counts_once "n-party eager" (fun () ->
+      let w = Scenario.policy_chain ~depth:2 () in
+      ignore
+        (Strategy.negotiate_multi w.Scenario.cw_session
+           ~participants:[ "alice"; "bob" ] ~requester:"alice" ~target:"bob"
+           w.Scenario.cw_goal))
+
+let test_count_extensions () =
+  counts_once "Chain.discover" (fun () ->
+      let session, root, _ =
+        Chain.linear_world ~depth:2 ~pred:"member" ~subject:"sam" ()
+      in
+      ignore (Session.add_peer session "client");
+      ignore
+        (Chain.discover session ~requester:"client" ~root
+           (lit {|member("sam")|})));
+  counts_once "Broker.lookup" (fun () ->
+      let session = Session.create () in
+      ignore (Session.add_peer session "shop");
+      ignore
+        (Broker.add_broker session ~name:"broker"
+           ~directory:[ ("purchaseApproved", "VISA") ]);
+      ignore
+        (Broker.lookup session ~requester:"shop" ~broker:"broker"
+           ~pred:"purchaseApproved"));
+  counts_once "Token.negotiate_with_token" (fun () ->
+      let session = Session.create () in
+      ignore (Session.add_peer session ~program:{|info(1) $ true.|} "owner");
+      ignore (Session.add_peer session "req");
+      ignore
+        (Token.negotiate_with_token session ~requester:"req" ~target:"owner"
+           ~ttl:10 (lit "info(X)")))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "reactor"
@@ -1054,7 +1132,9 @@ let () =
         [
           tc "scenario 1" test_reactor_scenario1;
           tc "scenario 2 free course" test_reactor_scenario2_free;
-          tc "agrees with sync engine" test_reactor_matches_sync_on_chains;
+          tc "agrees with analysis oracle"
+            test_reactor_matches_analysis_on_chains;
+          tc "costs of depth-first recursion" test_reactor_recursion_costs;
           tc "chain discovery" test_reactor_chain_discovery;
         ] );
       ( "concurrency",
@@ -1062,6 +1142,12 @@ let () =
           tc "interleaved negotiations" test_reactor_concurrent_negotiations;
           tc "marketplace over one queue" test_reactor_marketplace_concurrent;
           tc "missing credential denied" test_reactor_disclosure_message;
+        ] );
+      ( "counting",
+        [
+          tc "reactor entry points" test_count_reactor;
+          tc "strategies" test_count_strategies;
+          tc "chain, broker and token" test_count_extensions;
         ] );
       ( "failure",
         [
@@ -1086,7 +1172,6 @@ let () =
           tc "revocation watcher" test_cache_watch_accounts;
           tc "kb-update watcher" test_cache_watch_peer;
           tc "warm cross-session run" test_cache_warm_cross_session;
-          tc "batched sub-queries" test_reactor_batching;
         ] );
       ( "tabling",
         [

@@ -8,6 +8,10 @@ module Net = Peertrust_net
 let lit = Parser.parse_literal
 let granted = Negotiation.succeeded
 
+(* One relevant-strategy negotiation from a goal text. *)
+let request_str session ~requester ~target goal =
+  Reactor.negotiate session ~requester ~target (lit goal)
+
 let token_world () =
   let session = Session.create () in
   ignore
@@ -22,7 +26,6 @@ let token_world () =
        ~program:{|cred("alice") @ "CA" $ true signedBy ["CA"].|}
        "alice");
   ignore (Session.add_peer session "mallory");
-  Engine.attach_all session;
   session
 
 (* ------------------------------------------------------------------ *)
@@ -147,10 +150,10 @@ let test_audit_records_decisions () =
   let audit = Audit.create () in
   Audit.attach audit session;
   ignore
-    (Negotiation.request session ~requester:"alice" ~target:"elearn"
+    (Reactor.negotiate session ~requester:"alice" ~target:"elearn"
        (lit {|spanishCourse("s1")|}));
   ignore
-    (Negotiation.request session ~requester:"mallory" ~target:"elearn"
+    (Reactor.negotiate session ~requester:"mallory" ~target:"elearn"
        (lit {|spanishCourse("s1")|}));
   let entries = Audit.entries audit in
   Alcotest.(check bool) "some entries" true (List.length entries >= 2);
@@ -172,7 +175,7 @@ let test_audit_credentials_recorded () =
   let audit = Audit.create () in
   Audit.attach audit session;
   ignore
-    (Negotiation.request session ~requester:"alice" ~target:"elearn"
+    (Reactor.negotiate session ~requester:"alice" ~target:"elearn"
        (lit {|spanishCourse("s1")|}));
   (* Alice's counter-answer disclosed her CA credential: its serial must
      appear in her audit entry. *)
@@ -189,10 +192,10 @@ let test_audit_chronological_and_filtered () =
   let audit = Audit.create () in
   Audit.attach audit session;
   ignore
-    (Negotiation.request session ~requester:"mallory" ~target:"elearn"
+    (Reactor.negotiate session ~requester:"mallory" ~target:"elearn"
        (lit {|spanishCourse("s1")|}));
   ignore
-    (Negotiation.request session ~requester:"alice" ~target:"elearn"
+    (Reactor.negotiate session ~requester:"alice" ~target:"elearn"
        (lit {|spanishCourse("s1")|}));
   let entries = Audit.entries audit in
   let times = List.map (fun (e : Audit.entry) -> e.Audit.at) entries in
@@ -226,7 +229,7 @@ let test_persist_roundtrip () =
   | Error e -> Alcotest.failf "load failed: %a" Persist.pp_error e
   | Ok session ->
       let r =
-        Negotiation.request_str session ~requester:"Alice" ~target:"E-Learn"
+        request_str session ~requester:"Alice" ~target:"E-Learn"
           {|discountEnroll(spanish101, "Alice")|}
       in
       Alcotest.(check bool) "reloaded world negotiates" true (granted r);
@@ -238,7 +241,7 @@ let test_persist_preserves_learned_state () =
   let s = Scenario.scenario1 () in
   (* Run once so Alice caches E-Learn's BBB credential... *)
   ignore
-    (Negotiation.request_str s.Scenario.s1_session ~requester:"Alice"
+    (request_str s.Scenario.s1_session ~requester:"Alice"
        ~target:"E-Learn" {|discountEnroll(spanish101, "Alice")|});
   Persist.save s.Scenario.s1_session ~dir;
   match Persist.load ~dir () with
@@ -246,7 +249,7 @@ let test_persist_preserves_learned_state () =
   | Ok session ->
       (* ...so the reloaded world answers with fewer messages than cold. *)
       let r =
-        Negotiation.request_str session ~requester:"Alice" ~target:"E-Learn"
+        request_str session ~requester:"Alice" ~target:"E-Learn"
           {|discountEnroll(spanish101, "Alice")|}
       in
       Alcotest.(check bool) "granted" true (granted r);
@@ -285,7 +288,6 @@ let expect_bad_world ~substr result =
 let saved_single_peer_world dir =
   let session = Session.create () in
   ignore (Session.add_peer session ~program:{|info(1) $ true.|} "owner");
-  Engine.attach_all session;
   Persist.save session ~dir
 
 let test_persist_bad_magic () =
@@ -343,7 +345,6 @@ let test_persist_odd_peer_names () =
   let session = Session.create () in
   ignore (Session.add_peer session ~program:{|info(1) $ true.|} "Weird: Name/1");
   ignore (Session.add_peer session "client peer");
-  Engine.attach_all session;
   Persist.save session ~dir;
   match Persist.load ~dir () with
   | Error e -> Alcotest.failf "load failed: %a" Persist.pp_error e
@@ -351,6 +352,57 @@ let test_persist_odd_peer_names () =
       Alcotest.(check (list string)) "names survive"
         [ "Weird: Name/1"; "client peer" ]
         (Session.peer_names loaded)
+
+let test_journal_compaction () =
+  (* Hashed compaction keeps exactly what the list-based dedup it
+     replaced kept: settled roots' Goal/Done pairs go, repeated entries
+     go, first occurrences keep their order. *)
+  let module J = Persist.Journal in
+  let ks = Peertrust_crypto.Keystore.create ~bits:320 ~seed:9L () in
+  let cert src =
+    match Peertrust_crypto.Cert.issue ks (Parser.parse_rule src) with
+    | Ok c -> J.Cert c
+    | Error _ -> Alcotest.fail "issue"
+  in
+  let fact src = J.Fact (Rule.fact (lit src)) in
+  let goal id = J.Goal { id; target = "owner"; goal = lit {|r("x")|} } in
+  let c1 = cert {|a("x") @ "CA" signedBy ["CA"].|}
+  and c2 = cert {|b("y") @ "CA" signedBy ["CA"].|} in
+  let f1 = fact {|p(1) @ "owner"|} and f2 = fact {|p(2) @ "owner"|} in
+  let journal = J.in_memory () in
+  List.iter (J.append journal)
+    [
+      goal 1; c1; f1; c1; J.Done { id = 1 }; f2; f1; goal 2; c2; c1; goal 3;
+      J.Done { id = 2 }; f2; c2;
+    ];
+  let entries =
+    match J.entries journal with
+    | Ok e -> e
+    | Error _ -> Alcotest.fail "journal unreadable"
+  in
+  let reference =
+    let finished =
+      List.filter_map (function J.Done { id } -> Some id | _ -> None) entries
+    in
+    let live =
+      List.filter
+        (function
+          | J.Done { id } | J.Goal { id; _ } -> not (List.mem id finished)
+          | J.Cert _ | J.Fact _ | J.Answer _ -> true)
+        entries
+    in
+    List.fold_left (fun acc e -> if List.mem e acc then acc else acc @ [ e ])
+      [] live
+  in
+  let rewritten kept =
+    let j = J.in_memory () in
+    J.rewrite j kept;
+    J.contents j
+  in
+  Alcotest.(check string) "same journal" (rewritten reference)
+    (rewritten (J.compact entries));
+  Alcotest.(check int) "goal 3, two certs, two facts" 5
+    (List.length (J.compact entries))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -379,6 +431,7 @@ let () =
           tc "learned state survives" test_persist_preserves_learned_state;
           tc "missing meta" test_persist_missing_meta;
           tc "odd peer names" test_persist_odd_peer_names;
+          tc "journal compaction" test_journal_compaction;
         ] );
       ( "persist corruption",
         [
