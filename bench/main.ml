@@ -1874,14 +1874,20 @@ let with_metrics dir name f =
   Pobs.Obs.reset_metrics ();
   f ();
   let file = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
-  (* Histograms that recorded nothing are registration noise (every linked
-     subsystem registers its instruments at module init): drop them from
-     the artifact rather than pinning empty series into the baselines. *)
+  (* Histograms that recorded nothing and gauges nobody set since the
+     reset are registration noise (every linked subsystem registers its
+     instruments at module init, and earlier experiments of the same
+     process leave theirs behind): drop them from the artifact rather
+     than pinning empty series and stale zeros into the baselines. *)
   let snapshot =
     let s = Pobs.Obs.snapshot () in
     {
       s with
-      Pobs.Registry.sn_histograms =
+      Pobs.Registry.sn_gauges =
+        List.filter
+          (fun (name, _) -> Pobs.Metric.gauge_is_set (Pobs.Obs.gauge name))
+          s.Pobs.Registry.sn_gauges;
+      sn_histograms =
         List.filter
           (fun (_, h) -> h.Pobs.Metric.hs_count > 0)
           s.Pobs.Registry.sn_histograms;

@@ -58,8 +58,8 @@ cmp "$trace_a" "$trace_b"
 
 # Recursion smoke: a cyclic mutual-accreditation policy must terminate
 # under distributed tabling (loop detection + GEM-style completion) and
-# grant the chained credential; then the scaled recursion workloads once,
-# diffed against the committed seed baseline.
+# grant the chained credential.  The scaled recursion workloads run with
+# the crash sweep below.
 ./_build/default/bin/main.exe scenario accreditation --tabling \
   --metrics-out "$metrics" > /dev/null
 grep -q '"negotiation.granted":1[,}]' "$metrics"
@@ -67,10 +67,6 @@ if grep -q '"tabling.loops_detected":0[,}]' "$metrics"; then
   echo "recursion smoke: no inter-peer loop detected" >&2
   exit 1
 fi
-./_build/default/bench/main.exe recursion --smoke \
-  --metrics-dir "$bench_dir" > /dev/null
-./_build/default/bench/main.exe diff --against-seed recursion_smoke \
-  "$bench_dir/BENCH_recursion.json"
 
 # Crash smoke: scenario 1 with a scheduled crash+restart and journals on
 # must recover and grant; the recovery metrics must stay inside the
@@ -82,14 +78,24 @@ journal_dir=$(mktemp -d)
 grep -q '"negotiation.granted":1[,}]' "$metrics"
 grep -q '"reactor.restarts":1[,}]' "$metrics"
 rm -rf "$journal_dir"
-./_build/default/bench/main.exe crash --smoke \
+# The scaled recursion and crash sweeps run in one process, in gate
+# order, each diffed against its committed seed baseline.
+./_build/default/bench/main.exe recursion crash --smoke \
   --metrics-dir "$bench_dir" > /dev/null
+./_build/default/bench/main.exe diff --against-seed recursion_smoke \
+  "$bench_dir/BENCH_recursion.json"
 ./_build/default/bench/main.exe diff --against-seed crash_smoke \
   "$bench_dir/BENCH_crash.json"
 # Histograms that recorded nothing (e.g. the local tabled engine's, which
 # bench crash never enters) must not be emitted.
 if grep -q '"tabled.tables_per_query"' "$bench_dir/BENCH_crash.json"; then
   echo "bench crash: empty histogram leaked into the artifact" >&2
+  exit 1
+fi
+# Nor may gauges the experiment never set, such as the recursion
+# sweep's, still registered from the run before it.
+if grep -q '"recursion\.' "$bench_dir/BENCH_crash.json"; then
+  echo "bench crash: an earlier experiment's gauge leaked into the artifact" >&2
   exit 1
 fi
 
@@ -112,6 +118,11 @@ if ./_build/default/bench/main.exe diff --against-seed resolution_smoke \
   echo "bench diff: failed to flag an injected 2x regression" >&2
   exit 1
 fi
+
+# Benchmark self-test: on tiny hub and durable worlds, rounds must repeat
+# their exact counts, meet every expected outcome, and abort on a
+# flipped expectation.
+python3 perfbench/check.py
 
 # Slow gate: the property suite again with raised iteration counts, then
 # the full benchmark sweeps diffed against their committed baselines.

@@ -85,6 +85,27 @@ type parked = {
   pk_via : string option;
       (* the device a proxied query arrived at: the reply goes back
          through it *)
+  pk_seq : int;  (* park order: a later park has a larger number *)
+  mutable pk_reads : Kb.lookup list;
+      (* the KB buckets its last evaluation looked up; none for a
+         top-level goal, which is settled by its sub-query alone *)
+  mutable pk_volatile : bool;
+      (* its last evaluation consulted an external or ran out of fuel *)
+  mutable pk_woken : bool;  (* queued for its peer's next wake-up *)
+  mutable pk_live : bool;  (* still parked *)
+}
+
+(* The goals parked at one peer, indexed by what can unblock them. *)
+type desk = {
+  goals : (int, parked) Hashtbl.t;  (* by park order *)
+  waiters : (string * string, parked list) Hashtbl.t;
+      (* awaited (target, goal key) -> the goals parked on it *)
+  readers : (Sym.t * int, (Flat.fkey, parked list) Hashtbl.t) Hashtbl.t;
+      (* KB bucket -> first-argument key -> the goals whose last
+         evaluation looked it up *)
+  mutable woken : parked list;  (* to re-evaluate at the next wake-up *)
+  mutable kb_seen : Kb.t;  (* the peer's KB as the reactor last left it *)
+  mutable last_wake : int;  (* order number of the peer's last wake-up *)
 }
 
 (* Retransmission state of one outstanding sub-query. *)
@@ -144,7 +165,9 @@ type t = {
   answers : (string * string * string, Engine.instance list) Hashtbl.t;
   (* (peer, target, goal key) -> reason of the last Deny *)
   denials : (string * string * string, string) Hashtbl.t;
-  mutable parked : parked list;
+  desks : (string, desk) Hashtbl.t;  (* peer -> the goals parked there *)
+  mutable n_parked : int;
+  mutable order : int;  (* last park or wake-up order number *)
   results : (int, Negotiation.outcome) Hashtbl.t;
   mutable next_request : int;
   mutable budget_hit : bool;
@@ -221,7 +244,9 @@ let create ?(config = default_config) session =
       pending = Hashtbl.create 64;
       answers = Hashtbl.create 64;
       denials = Hashtbl.create 16;
-      parked = [];
+      desks = Hashtbl.create 8;
+      n_parked = 0;
+      order = 0;
       results = Hashtbl.create 8;
       next_request = 1;
       budget_hit = false;
@@ -406,11 +431,174 @@ let post_query ?trace t ~from ~target ~key goal =
       post ?trace t ~from ~target (Net.Message.Query { goal });
       arm_timer ?trace t ~peer:from ~target ~key goal
 
-let resolve t pkey =
+(* ------------------------------------------------------------------ *)
+(* Parked goals and their wake-up indexes *)
+
+let next_order t =
+  t.order <- t.order + 1;
+  t.order
+
+let desk_of t name =
+  match Hashtbl.find_opt t.desks name with
+  | Some d -> d
+  | None ->
+      let d =
+        {
+          goals = Hashtbl.create 8;
+          waiters = Hashtbl.create 8;
+          readers = Hashtbl.create 8;
+          woken = [];
+          kb_seen =
+            (match Hashtbl.find_opt t.session.Session.peers name with
+            | Some peer -> peer.Peer.kb
+            | None -> Kb.empty);
+          last_wake = 0;
+        }
+      in
+      Hashtbl.replace t.desks name d;
+      d
+
+let wake_later d p =
+  if p.pk_live && not p.pk_woken then begin
+    p.pk_woken <- true;
+    d.woken <- p :: d.woken
+  end
+
+let push tbl key p =
+  Hashtbl.replace tbl key
+    (p :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+
+let drop tbl key p =
+  match Hashtbl.find_opt tbl key with
+  | None -> ()
+  | Some ps -> (
+      match List.filter (fun q -> q != p) ps with
+      | [] -> Hashtbl.remove tbl key
+      | ps -> Hashtbl.replace tbl key ps)
+
+(* File a goal under the sub-query it waits on and the KB buckets it
+   read.  Wake rule (c): a volatile goal is queued for the next wake-up
+   straight away. *)
+let index d p =
+  push d.waiters p.pk_waiting p;
+  List.iter
+    (fun (bucket, fkey) ->
+      let by_key =
+        match Hashtbl.find_opt d.readers bucket with
+        | Some by_key -> by_key
+        | None ->
+            let by_key = Hashtbl.create 4 in
+            Hashtbl.replace d.readers bucket by_key;
+            by_key
+      in
+      push by_key fkey p)
+    p.pk_reads;
+  if p.pk_volatile then wake_later d p
+
+let unindex d p =
+  drop d.waiters p.pk_waiting p;
+  List.iter
+    (fun (bucket, fkey) ->
+      match Hashtbl.find_opt d.readers bucket with
+      | None -> ()
+      | Some by_key ->
+          drop by_key fkey p;
+          if Hashtbl.length by_key = 0 then Hashtbl.remove d.readers bucket)
+    p.pk_reads
+
+(* Re-file a goal whose evaluation blocked again. *)
+let reindex d p waiting (reads : Kb.reads) =
+  unindex d p;
+  p.pk_waiting <- waiting;
+  p.pk_reads <- reads.Kb.lookups;
+  p.pk_volatile <- reads.Kb.volatile;
+  index d p
+
+let park ?via ?request t ~peer ~requester goal waiting reads =
+  let d = desk_of t peer in
+  let p =
+    {
+      pk_peer = peer;
+      pk_requester = requester;
+      pk_goal = goal;
+      pk_waiting = waiting;
+      pk_request = request;
+      pk_via = via;
+      pk_seq = next_order t;
+      pk_reads = reads.Kb.lookups;
+      pk_volatile = reads.Kb.volatile;
+      pk_woken = false;
+      pk_live = true;
+    }
+  in
+  Hashtbl.replace d.goals p.pk_seq p;
+  t.n_parked <- t.n_parked + 1;
+  index d p
+
+let unpark t d p =
+  p.pk_live <- false;
+  Hashtbl.remove d.goals p.pk_seq;
+  t.n_parked <- t.n_parked - 1;
+  unindex d p
+
+(* Wake rule (a): whatever resolves a sub-query — an answer, a denial, a
+   deadline's withdrawal — queues the goals parked on it. *)
+let resolve t ((peer, target, key) as pkey) =
   (match Hashtbl.find_opt t.pending pkey with
   | Some resolved -> resolved := true
   | None -> Hashtbl.add t.pending pkey (ref true));
-  Hashtbl.remove t.timers pkey
+  Hashtbl.remove t.timers pkey;
+  match Hashtbl.find_opt t.desks peer with
+  | None -> ()
+  | Some d -> (
+      match Hashtbl.find_opt d.waiters (target, key) with
+      | None -> ()
+      | Some ps ->
+          Hashtbl.remove d.waiters (target, key);
+          List.iter (wake_later d) ps)
+
+(* Wake rule (b): queue the goals whose recorded lookups could meet a
+   rule a delivery added to [peer]'s KB ([before] is the KB it found). *)
+let taught t (peer : Peer.t) ~before rules =
+  if peer.Peer.kb != before then
+    match Hashtbl.find_opt t.desks peer.Peer.name with
+    | None -> ()
+    | Some d ->
+        d.kb_seen <- peer.Peer.kb;
+        let wake_all ps = List.iter (wake_later d) ps in
+        List.iter
+          (fun r ->
+            if Kb.mem r peer.Peer.kb && not (Kb.mem r before) then
+              let bucket, fkey = Kb.head_lookup r in
+              match Hashtbl.find_opt d.readers bucket with
+              | None -> ()
+              | Some by_key -> (
+                  match fkey with
+                  | Flat.Kany -> Hashtbl.iter (fun _ ps -> wake_all ps) by_key
+                  | Flat.Kground _ | Flat.Kfunctor _ ->
+                      Option.iter wake_all (Hashtbl.find_opt by_key Flat.Kany);
+                      Option.iter wake_all (Hashtbl.find_opt by_key fkey)))
+          rules
+
+(* Wake rule (d): a KB changed behind the reactor's back (a caller
+   loaded rules between steps) may unblock any goal parked there. *)
+let sync t (peer : Peer.t) =
+  match Hashtbl.find_opt t.desks peer.Peer.name with
+  | Some d when d.kb_seen != peer.Peer.kb ->
+      d.kb_seen <- peer.Peer.kb;
+      Hashtbl.iter (fun _ p -> wake_later d p) d.goals
+  | Some _ | None -> ()
+
+(* Quiescence breaking forces goals in a fixed order, which the pinned
+   transcripts rely on: the later of a goal's park and its peer's last
+   wake-up, newest first, ties newest parked first. *)
+let rank d p = (max p.pk_seq d.last_wake, p.pk_seq)
+
+let all_parked t =
+  Hashtbl.fold
+    (fun _ d acc -> Hashtbl.fold (fun _ p acc -> (rank d p, d, p) :: acc) d.goals acc)
+    t.desks []
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare b a)
 
 (* Put a batch of tabling posts on the wire.  Tqueries get a pending
    entry (so the guard's solicitation oracle accepts the eventual
@@ -456,7 +644,8 @@ let with_tabling t f =
    now would pay for speculative fallbacks an answer may make moot.
    Work is done on [requester]'s behalf: each inner solve is capped at
    the requester's unspent guard quota and the steps actually burnt are
-   charged against it. *)
+   charged against it.  A parked goal carries what its evaluation read,
+   for the wake-up indexes. *)
 let evaluate_goal t peer ~requester goal ~respond =
   let blocked = ref [] in
   let collector ~target lit =
@@ -482,11 +671,11 @@ let evaluate_goal t peer ~requester goal ~respond =
         (fun () -> Engine.answer ~remote:collector t.session peer ~requester goal)
     end
   in
-  match answer () with
-  | Ok (instances, certs) ->
+  match Kb.recording answer with
+  | Ok (instances, certs), _ ->
       respond (Net.Message.Answer { goal; instances; certs });
       `Settled
-  | Error reason -> (
+  | Error reason, reads -> (
       let rec first_unanswered = function
         | [] -> None
         | (target, lit) :: rest -> (
@@ -502,7 +691,7 @@ let evaluate_goal t peer ~requester goal ~respond =
       | None ->
           respond (Net.Message.Deny { goal; reason });
           `Settled
-      | Some waiting -> `Parked waiting)
+      | Some waiting -> `Parked (waiting, reads))
 
 (* Checkpoint compaction threshold: once this many root goals have
    settled since the last compaction, the journal is rewritten without
@@ -574,23 +763,24 @@ let reply ?via t ~peer ~requester payload =
       if hop t ~from:peer ~target:device payload then
         post t ~from:device ~target:requester payload
 
+(* A top-level goal is settled by its single sub-query alone: [true]
+   once that is resolved. *)
+let settle_root t id ~peer (target, key) =
+  let pkey = (peer, target, key) in
+  match Hashtbl.find_opt t.pending pkey with
+  | Some { contents = true } ->
+      (match Hashtbl.find_opt t.answers pkey with
+      | Some instances -> settle_request t id (Negotiation.Granted instances)
+      | None ->
+          settle_request t id
+            (Negotiation.Denied (denial_reason t ~target pkey)));
+      true
+  | Some _ | None -> false
+
 (* Try to settle one parked goal; [true] when it is resolved. *)
-let try_settle t p =
+let try_settle t d p =
   match p.pk_request with
-  | Some id -> (
-      (* Top-level: resolved by its single sub-query. *)
-      let target, key = p.pk_waiting in
-      let pkey = (p.pk_peer, target, key) in
-      match Hashtbl.find_opt t.pending pkey with
-      | Some { contents = true } ->
-          (match Hashtbl.find_opt t.answers pkey with
-          | Some instances ->
-              settle_request t id (Negotiation.Granted instances)
-          | None ->
-              settle_request t id
-                (Negotiation.Denied (denial_reason t ~target pkey)));
-          true
-      | Some _ | None -> false)
+  | Some id -> settle_root t id ~peer:p.pk_peer p.pk_waiting
   | None -> (
       match
         evaluate_goal t
@@ -600,36 +790,40 @@ let try_settle t p =
             (reply ?via:p.pk_via t ~peer:p.pk_peer ~requester:p.pk_requester)
       with
       | `Settled -> true
-      | `Parked waiting ->
-          p.pk_waiting <- waiting;
+      | `Parked (waiting, reads) ->
+          reindex d p waiting reads;
           false)
 
-let reevaluate t peer_name =
-  let mine, others =
-    List.partition (fun p -> String.equal p.pk_peer peer_name) t.parked
-  in
-  let still = List.filter (fun p -> not (try_settle t p)) mine in
-  t.parked <- still @ others
+(* An answer, denial or disclosure reached [name]: re-evaluate the goals
+   parked there that something since their last evaluation may have
+   unblocked (wake rules (a)-(d)), newest parked first.  Any other goal
+   would block on the same call again, with no side effect, so it is
+   skipped. *)
+let wake t name =
+  match Hashtbl.find_opt t.desks name with
+  | None -> ()
+  | Some d ->
+      d.last_wake <- next_order t;
+      let woken =
+        List.sort (fun a b -> Int.compare b.pk_seq a.pk_seq) d.woken
+      in
+      d.woken <- [];
+      List.iter
+        (fun p ->
+          p.pk_woken <- false;
+          if p.pk_live && try_settle t d p then unpark t d p)
+        woken
 
 let handle_query ?via t peer ~from goal =
   let respond = reply ?via t ~peer:peer.Peer.name ~requester:from in
   match evaluate_goal t peer ~requester:from goal ~respond with
   | `Settled -> ()
-  | `Parked ((target, _) as waiting) ->
+  | `Parked (((target, _) as waiting), reads) ->
       Metric.incr m_parks;
       Log.debug (fun m ->
           m "%s parks %s for %s (waiting on %s)" peer.Peer.name
             (Literal.to_string goal) from target);
-      t.parked <-
-        {
-          pk_peer = peer.Peer.name;
-          pk_requester = from;
-          pk_goal = goal;
-          pk_waiting = waiting;
-          pk_request = None;
-          pk_via = via;
-        }
-        :: t.parked
+      park ?via t ~peer:peer.Peer.name ~requester:from goal waiting reads
 
 (* Learn inbound certificates, journalling each one the peer did not
    already hold and that survived verification — checked against the
@@ -649,10 +843,14 @@ let learn_certs t (peer : Peer.t) ~from certs =
         jappend t peer.Peer.name (Persist.Journal.Cert c))
     fresh
 
+let cert_rules certs =
+  List.map (fun (c : Peertrust_crypto.Cert.t) -> c.Peertrust_crypto.Cert.rule) certs
+
 let rec dispatch t ~synthetic (from, target, payload) =
   match Hashtbl.find_opt t.session.Session.peers target with
   | None -> ()
   | Some peer -> (
+      sync t peer;
       match payload with
       | Net.Message.Query { goal } -> (
           match Hashtbl.find_opt t.session.Session.proxies target with
@@ -667,18 +865,23 @@ let rec dispatch t ~synthetic (from, target, payload) =
                 post t ~from:target ~target:from
                   (Net.Message.Deny { goal; reason = "proxy unreachable" }))
       | Net.Message.Answer { goal; instances; certs } ->
+          let before = peer.Peer.kb in
           learn_certs t peer ~from certs;
+          let facts =
+            List.filter_map
+              (fun ((inst : Literal.t), _) ->
+                if Literal.is_ground inst then
+                  Some (Rule.fact (Literal.push_authority inst (Term.str from)))
+                else None)
+              instances
+          in
           List.iter
-            (fun ((inst : Literal.t), _) ->
-              if Literal.is_ground inst then begin
-                let r =
-                  Rule.fact (Literal.push_authority inst (Term.str from))
-                in
-                if not (Kb.mem r peer.Peer.kb) then
-                  jappend t target (Persist.Journal.Fact r);
-                Peer.add_rule peer r
-              end)
-            instances;
+            (fun r ->
+              if not (Kb.mem r peer.Peer.kb) then
+                jappend t target (Persist.Journal.Fact r);
+              Peer.add_rule peer r)
+            facts;
+          taught t peer ~before (cert_rules certs @ facts);
           (* Fill the cache from answers that travelled the wire; replayed
              (synthetic) hits must not refresh their own TTL. *)
           (match t.config.cache with
@@ -690,7 +893,7 @@ let rec dispatch t ~synthetic (from, target, payload) =
           let pkey = (target, from, goal_key goal) in
           Hashtbl.replace t.answers pkey instances;
           resolve t pkey;
-          reevaluate t target
+          wake t target
       | Net.Message.Deny { goal; reason } ->
           (* When tabling is on, a denial may kill a table's dependency
              view; the failure cascades to the view's dependent tables. *)
@@ -700,34 +903,49 @@ let rec dispatch t ~synthetic (from, target, payload) =
           if not (Hashtbl.mem t.answers pkey) then
             Hashtbl.replace t.denials pkey reason;
           resolve t pkey;
-          reevaluate t target
+          wake t target
       | Net.Message.Disclosure { certs; _ } ->
+          let before = peer.Peer.kb in
           learn_certs t peer ~from certs;
-          reevaluate t target
+          taught t peer ~before (cert_rules certs);
+          wake t target
       | Net.Message.Cancel { goal } ->
           (* The requester withdrew this goal (deadline expiry): drop
              the work parked on its behalf; sub-queries the evaluation
              already posted resolve into answers nobody consumes. *)
           let key = goal_key goal in
-          let cancelled, kept =
-            List.partition
-              (fun p ->
-                p.pk_request = None
-                && String.equal
-                     (Option.value p.pk_via ~default:p.pk_peer)
-                     target
-                && String.equal p.pk_requester from
-                && String.equal (goal_key p.pk_goal) key)
-              t.parked
+          (* parked here, or at the proxy that evaluates for this device *)
+          let hosts =
+            match Hashtbl.find_opt t.session.Session.proxies target with
+            | Some proxy when not (String.equal proxy target) ->
+                [ target; proxy ]
+            | Some _ | None -> [ target ]
           in
           List.iter
-            (fun _ ->
-              Metric.incr m_cancelled_goals;
-              Otracer.event (Obs.tracer ())
-                (Printf.sprintf "reactor.cancelled %s withdraws %s at %s" from
-                   key target))
-            cancelled;
-          t.parked <- kept
+            (fun host ->
+              match Hashtbl.find_opt t.desks host with
+              | None -> ()
+              | Some d ->
+                  Hashtbl.fold
+                    (fun _ p acc ->
+                      if
+                        p.pk_request = None
+                        && String.equal
+                             (Option.value p.pk_via ~default:p.pk_peer)
+                             target
+                        && String.equal p.pk_requester from
+                        && String.equal (goal_key p.pk_goal) key
+                      then p :: acc
+                      else acc)
+                    d.goals []
+                  |> List.iter (fun p ->
+                         unpark t d p;
+                         Metric.incr m_cancelled_goals;
+                         Otracer.event (Obs.tracer ())
+                           (Printf.sprintf
+                              "reactor.cancelled %s withdraws %s at %s" from key
+                              target)))
+            hosts
       | Net.Message.Batch payloads ->
           List.iter (fun p -> dispatch t ~synthetic (from, target, p)) payloads
       | Net.Message.Ack -> ()
@@ -761,7 +979,7 @@ let rec dispatch t ~synthetic (from, target, payload) =
             Hashtbl.replace t.answers pkey
               (List.map (fun i -> (i, None)) instances);
             resolve t pkey;
-            reevaluate t target
+            wake t target
           end
           else
             (* A non-final push proves the link is alive — stand the
@@ -809,17 +1027,9 @@ let launch_root ?trace t ~id ~requester ~target goal =
   | None ->
       if not (Hashtbl.mem t.pending (requester, target, key)) then
         post_query ?trace t ~from:requester ~target ~key goal);
-  let p =
-    {
-      pk_peer = requester;
-      pk_requester = requester;
-      pk_goal = goal;
-      pk_waiting = (target, key);
-      pk_request = Some id;
-      pk_via = None;
-    }
-  in
-  if not (try_settle t p) then t.parked <- p :: t.parked
+  if not (settle_root t id ~peer:requester (target, key)) then
+    park ~request:id t ~peer:requester ~requester goal (target, key)
+      { Kb.lookups = []; volatile = false }
 
 let submit ?deadline t ~requester ~target goal =
   let id = t.next_request in
@@ -1201,10 +1411,19 @@ let crash_peer t name =
       ignore (Answer_cache.invalidate_owner c name : int)
   | None -> ());
   (match t.tabling_st with Some tb -> Tabling.crash tb name | None -> ());
-  let mine, others =
-    List.partition (fun p -> String.equal p.pk_peer name) t.parked
+  let mine =
+    match Hashtbl.find_opt t.desks name with
+    | None -> []
+    | Some d ->
+        Hashtbl.remove t.desks name;
+        Hashtbl.fold (fun _ p acc -> p :: acc) d.goals []
+        |> List.sort (fun a b -> Int.compare b.pk_seq a.pk_seq)
   in
-  t.parked <- others;
+  List.iter
+    (fun p ->
+      p.pk_live <- false;
+      t.n_parked <- t.n_parked - 1)
+    mine;
   List.iter
     (fun p ->
       match p.pk_request with
@@ -1331,7 +1550,13 @@ let expire_deadline t id =
              (fun ((p, _, _), _) -> not (String.equal p requester))
              (Hashtbl.find t.awaiting k)))
       akeys;
-    t.parked <- List.filter (fun p -> p.pk_request <> Some id) t.parked;
+    (match Hashtbl.find_opt t.desks requester with
+    | None -> ()
+    | Some d ->
+        Hashtbl.fold
+          (fun _ p acc -> if p.pk_request = Some id then p :: acc else acc)
+          d.goals []
+        |> List.iter (unpark t d));
     settle_request t id (Negotiation.Denied "deadline expired")
   end
 
@@ -1375,22 +1600,23 @@ let step t =
    finite-failure reading of cyclic policies — and let the denial
    propagate; top-level survivors are denied as quiescent. *)
 let break_quiescence t =
+  let parked = all_parked t in
   match
-    List.partition (fun p -> p.pk_request = None) t.parked
+    List.find_opt (fun (_, _, p) -> p.pk_request = None) parked, parked
   with
-  | p :: rest, tops ->
-      t.parked <- rest @ tops;
+  | Some (_, d, p), _ ->
+      unpark t d p;
       reply ?via:p.pk_via t ~peer:p.pk_peer ~requester:p.pk_requester
         (Net.Message.Deny { goal = p.pk_goal; reason = "negotiation cycle" });
       true
-  | [], p :: rest -> (
+  | None, (_, d, p) :: _ -> (
       match p.pk_request with
       | Some id ->
           settle_request t id (Negotiation.Denied "negotiation quiescent");
-          t.parked <- rest;
+          unpark t d p;
           true
       | None -> false)
-  | [], [] -> false
+  | None, [] -> false
 
 (* Tabling's quiescence hook: heal lagging views, then (if all in sync)
    start an SCC probe epoch.  Runs before [break_quiescence] so cyclic
@@ -1419,12 +1645,12 @@ let run_inner ?(max_steps = 100_000) t =
   done;
   if t.budget_hit then
     List.iter
-      (fun p ->
+      (fun (_, _, p) ->
         match p.pk_request with
         | Some id ->
             settle_request t id (Negotiation.Denied "message budget exhausted")
         | None -> ())
-      t.parked;
+      (all_parked t);
   !steps
 
 let run ?max_steps t =
@@ -1443,7 +1669,7 @@ let run ?max_steps t =
        (Hashtbl.fold
           (fun _ resolved acc -> if !resolved then acc else acc + 1)
           t.pending 0));
-  Metric.set g_parked (float_of_int (List.length t.parked));
+  Metric.set g_parked (float_of_int t.n_parked);
   steps
 
 let result t id = Hashtbl.find_opt t.results id
@@ -1453,7 +1679,7 @@ let outcome t id =
   | Some o -> o
   | None -> Negotiation.Denied "negotiation quiescent"
 
-let parked_count t = List.length t.parked
+let parked_count t = t.n_parked
 let pending_timers t = Hashtbl.length t.timers
 
 let tabling_summary t =

@@ -15,16 +15,31 @@
       asked at most once per peer).  Later remote calls of the same
       evaluation wait: an answer may make them moot;
     - an incoming answer is verified and learned (certificates plus the
-      "peer says" facts), then every goal parked at that peer is
-      re-evaluated from scratch over the grown knowledge base — the KB
-      only grows, so re-evaluation is monotone;
+      "peer says" facts); then the goals parked at that peer which it,
+      or anything since their last evaluation, may have unblocked are
+      re-evaluated over the grown knowledge base, newest parked first —
+      the KB only grows, so re-evaluation is monotone;
     - a parked goal none of whose remote calls is left unanswered, and
       which still has no releasable answer, is denied upstream.
+
+    Each peer indexes its parked goals by the sub-query they wait on and
+    by the KB lookups their last evaluation made
+    ({!Peertrust_dlp.Kb.recording}).  An answer, denial or disclosure
+    reaching the peer re-evaluates a goal when (a) its awaited sub-query
+    was resolved since it parked, by that delivery or otherwise (a
+    deadline's withdrawal); (b) a rule the delivery added to the peer's
+    KB could match one of its lookups; (c) its last evaluation consulted
+    an external predicate or ran out of fuel; or (d) the peer's KB
+    changed outside the reactor.  Any other goal would park on the same
+    call again with no side effect, so it is skipped: the work an answer
+    costs does not grow with the number of goals parked beside it, and
+    transcripts are those of re-evaluating every parked goal.
 
     Any number of negotiations proceed {e interleaved} over one queue,
     and policy deadlocks end by quiescence (an empty queue with
     unresolved goals), which force-denies one parked goal at a time —
-    no in-flight cycle table is needed.
+    the later of its park and its peer's last wake-up, newest first —
+    and no in-flight cycle table is needed.
 
     Messages are accounted on the session network (statistics,
     transcript, latency, budget).  A target that is neither a session
@@ -68,8 +83,12 @@
     flood cannot amplify; other rejected payloads are dropped.  The
     guard's work quota caps {!Peertrust_dlp.Sld.options} [max_steps]
     while a requester's goal is evaluated and is charged with the solver
-    steps actually burnt.  With the default {!Guard.permissive} config
-    every payload is admitted and transcripts are unchanged.
+    steps actually burnt.  Only useful work is billed: a parked goal is
+    re-evaluated (and its requester charged) only when a delivery can
+    unblock it, so answers for other negotiations reaching a busy peer
+    cost an honest requester nothing.  With the default
+    {!Guard.permissive} config every payload is admitted and transcripts
+    are unchanged.
 
     {!add_adversary} attaches a misbehaving {!Peertrust_net.Adversary}:
     it gets a network identity, opens with a burst against the honest

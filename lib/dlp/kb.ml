@@ -60,6 +60,8 @@ let head_key (l : Literal.t) =
       | Term.Int i -> Hground (Gterm.of_int i)
       | Term.Compound (f, args) -> Hfunctor (f, List.length args))
 
+let lit_key (l : Literal.t) = (Sym.intern l.Literal.pred, Literal.arity l)
+
 (* Index key of a goal's first argument (as given — resolved by the
    caller); {!Flat.goal_first_key} computes the same key from a flat
    goal. *)
@@ -74,14 +76,73 @@ let goal_key (l : Literal.t) =
       | Term.Int i -> Flat.Kground (Gterm.of_int i)
       | Term.Compound (f, args) -> Flat.Kfunctor (f, List.length args))
 
+(* ------------------------------------------------------------------ *)
+(* Read sets *)
+
+type lookup = (Sym.t * int) * Flat.fkey
+type reads = { lookups : lookup list; volatile : bool }
+type recorder = { mutable r_lookups : lookup list; mutable r_volatile : bool }
+
+(* The read set being recorded, if any.  Off (one dereference per
+   lookup) unless a caller asked what an evaluation reads. *)
+let recorder : recorder option ref = ref None
+
+let same_fkey a b =
+  match (a, b) with
+  | Flat.Kany, Flat.Kany -> true
+  | Flat.Kground g, Flat.Kground h -> g = h
+  | Flat.Kfunctor (f, n), Flat.Kfunctor (g, m) -> Sym.equal f g && n = m
+  | (Flat.Kany | Flat.Kground _ | Flat.Kfunctor _), _ -> false
+
+(* An unindexed KB hands every lookup the whole bucket: record it as a
+   scan.  Consecutive repeats (the solver looking the same bucket up
+   step after step) are dropped here, the rest when the set is sealed. *)
+let note kb ((p, n) as key) fkey =
+  match !recorder with
+  | None -> ()
+  | Some r -> (
+      let fkey = if kb.indexing then fkey else Flat.Kany in
+      match r.r_lookups with
+      | ((q, m), f) :: _ when Sym.equal p q && n = m && same_fkey f fkey -> ()
+      | l -> r.r_lookups <- (key, fkey) :: l)
+
+let mark_volatile () =
+  match !recorder with None -> () | Some r -> r.r_volatile <- true
+
+let recording f =
+  let r = { r_lookups = []; r_volatile = false } in
+  let outer = !recorder in
+  recorder := Some r;
+  let seal () =
+    recorder := outer;
+    (* a nested recording's reads are its caller's reads too *)
+    Option.iter
+      (fun o ->
+        o.r_lookups <- List.rev_append r.r_lookups o.r_lookups;
+        o.r_volatile <- o.r_volatile || r.r_volatile)
+      outer
+  in
+  match f () with
+  | v ->
+      seal ();
+      (v, { lookups = List.sort_uniq compare r.r_lookups; volatile = r.r_volatile })
+  | exception e ->
+      seal ();
+      raise e
+
+let head_lookup (r : Rule.t) =
+  ( lit_key r.Rule.head,
+    match head_key r.Rule.head with
+    | Hvar -> Flat.Kany
+    | Hground g -> Flat.Kground g
+    | Hfunctor (f, n) -> Flat.Kfunctor (f, n) )
+
 let first_sublist bucket (l : Literal.t) =
   match head_key l with
   | Hvar -> bucket.var_first
   | Hground g -> Option.value ~default:[] (IM.find_opt g bucket.by_first)
   | Hfunctor (f, n) ->
       Option.value ~default:[] (FM.find_opt (f, n) bucket.by_functor)
-
-let lit_key (l : Literal.t) = (Sym.intern l.Literal.pred, Literal.arity l)
 
 (* Membership via the first-argument index: a structurally equal rule has
    the same head, hence the same index class — never a full bucket scan,
@@ -166,7 +227,9 @@ let entries_in_order entries =
 
 let find key kb =
   let pred, arity = key in
-  match M.find_opt (Sym.intern pred, arity) kb.buckets with
+  let key = (Sym.intern pred, arity) in
+  note kb key Flat.Kany;
+  match M.find_opt key kb.buckets with
   | None -> []
   | Some bucket -> entries_in_order (bucket_all bucket)
 
@@ -186,9 +249,11 @@ let entries_for bucket fkey indexing =
           bucket.var_first
 
 let matching_entries lit kb =
-  match M.find_opt (lit_key lit) kb.buckets with
+  let key = lit_key lit and fkey = goal_key lit in
+  note kb key fkey;
+  match M.find_opt key kb.buckets with
   | None -> []
-  | Some bucket -> entries_for bucket (goal_key lit) kb.indexing
+  | Some bucket -> entries_for bucket fkey kb.indexing
 
 let matching lit kb =
   List.rev_map (fun (_, c) -> Rule.source c) (matching_entries lit kb)
@@ -198,6 +263,7 @@ let matching_compiled lit kb = List.rev_map snd (matching_entries lit kb)
 let rev_compiled entries = List.rev_map snd entries
 
 let matching_parts key fkey kb =
+  note kb key fkey;
   match M.find_opt key kb.buckets with
   | None -> ([], [])
   | Some bucket ->
@@ -215,7 +281,9 @@ let matching_parts key fkey kb =
         split [] [] (entries_for bucket fkey true)
       end
 
+(* A whole-KB read meets every rule a later addition could bring. *)
 let rules kb =
+  mark_volatile ();
   M.fold (fun _ bucket acc -> List.rev_append (bucket_all bucket) acc)
     kb.buckets []
   |> entries_in_order

@@ -43,7 +43,8 @@ val matching_parts :
     entry point: no literal rebuilt, no partition per call. *)
 
 val rules : t -> Rule.t list
-(** All rules, in insertion order. *)
+(** All rules, in insertion order.  Inside {!recording}, marks the read
+    set volatile: a whole-KB read can meet any rule added later. *)
 
 val size : t -> int
 val fold : (Rule.t -> 'a -> 'a) -> t -> 'a -> 'a
@@ -60,3 +61,40 @@ val union : t -> t -> t
     mode. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Read sets}
+
+    What an evaluation read from the KBs it consulted, so a caller can
+    tell which later additions could change its result.  Every candidate
+    lookup ({!matching}, {!matching_compiled}, {!matching_parts},
+    {!find}) made while {!recording} runs is recorded by predicate bucket
+    and first-argument key.  An addition no recorded lookup could have
+    returned leaves every lookup, hence the evaluation, unchanged. *)
+
+type lookup = (Sym.t * int) * Flat.fkey
+(** A predicate bucket (interned predicate, arity) and the first-argument
+    key it was searched with — [Kany] for a scan, which an unindexed KB
+    always does. *)
+
+type reads = {
+  lookups : lookup list;  (** distinct, sorted *)
+  volatile : bool;
+      (** the result may change with no KB change: the evaluation
+          consulted something outside the KB (an external predicate, see
+          {!mark_volatile}) or read the whole KB *)
+}
+
+val recording : (unit -> 'a) -> 'a * reads
+(** [recording f] runs [f] and returns its result with what it read.
+    Recordings nest: an inner recording's reads also count for the
+    outer one. *)
+
+val mark_volatile : unit -> unit
+(** Mark the read set being recorded volatile; a no-op outside
+    {!recording}. *)
+
+val head_lookup : Rule.t -> lookup
+(** The bucket a rule's head lives in and its first-argument class
+    ([Kany] for a variable first argument).  A lookup [(k, f)] can return
+    the rule exactly when [k] is its bucket and [f] and the head's class
+    are equal or either is [Kany] — the filter {!matching} applies. *)

@@ -141,7 +141,11 @@ let solve_body ?(options = default_options) ?(externals = no_externals)
   let rec prove_one goal depth ancestors k =
     Metric.incr m_steps;
     incr local_steps;
-    if !fuel <= 0 then Metric.incr m_step_cutoffs
+    if !fuel <= 0 then begin
+      (* the answers missed depend on the budget, not on the KB alone *)
+      Metric.incr m_step_cutoffs;
+      Kb.mark_volatile ()
+    end
     else if depth <= 0 then Metric.incr m_depth_cutoffs
     else begin
       decr fuel;
@@ -192,6 +196,8 @@ let solve_body ?(options = default_options) ?(externals = no_externals)
       | None -> (
           match externals (goal.Literal.pred, nargs) with
           | Some f ->
+              (* an external's answers can change with no KB change *)
+              Kb.mark_volatile ();
               let s = Store.to_subst st in
               List.iter
                 (fun s' ->

@@ -23,7 +23,12 @@
     and a NAF goal whose inner literal is non-ground fails (floundering).
 
     Termination: a depth bound plus an ancestor check that fails any goal
-    which is a variant of a goal already on its own call path. *)
+    which is a variant of a goal already on its own call path.
+
+    Inside {!Kb.recording} a solve records the KB lookups it makes, and
+    marks its read set volatile when it consults an external predicate
+    or runs out of [max_steps] fuel: its result can then change with no
+    KB change. *)
 
 type options = {
   max_depth : int;

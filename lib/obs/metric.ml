@@ -1,5 +1,5 @@
 type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type gauge = { g_name : string; mutable g_value : float; mutable g_set : bool }
 
 type histogram = {
   h_name : string;
@@ -17,7 +17,7 @@ let default_buckets =
   Array.init 17 (fun i -> Float.of_int (1 lsl i)) (* 1 .. 65536 *)
 
 let counter name = { c_name = name; c_value = 0 }
-let gauge name = { g_name = name; g_value = 0. }
+let gauge name = { g_name = name; g_value = 0.; g_set = false }
 
 let histogram ?(buckets = default_buckets) name =
   let ok =
@@ -44,8 +44,12 @@ let histogram ?(buckets = default_buckets) name =
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let value c = c.c_value
-let set g v = g.g_value <- v
+let set g v =
+  g.g_value <- v;
+  g.g_set <- true
+
 let gauge_value g = g.g_value
+let gauge_is_set g = g.g_set
 
 let bucket_index bounds v =
   (* First bucket whose bound is >= v; length bounds = overflow. *)
@@ -75,7 +79,9 @@ let observe h v =
 let observe_int h v = observe h (Float.of_int v)
 
 let reset_counter c = c.c_value <- 0
-let reset_gauge g = g.g_value <- 0.
+let reset_gauge g =
+  g.g_value <- 0.;
+  g.g_set <- false
 
 let reset_histogram h =
   Array.fill h.counts 0 (Array.length h.counts) 0;
@@ -132,7 +138,8 @@ let mean hs = if hs.hs_count = 0 then 0. else hs.hs_sum /. Float.of_int hs.hs_co
    maximum is the honest report for the unbounded bucket.  Clamping to
    the last bound keeps percentiles monotone even against snapshots
    deserialised from logs that predate max tracking (where [hs_max] is a
-   reconstruction that may undershoot). *)
+   reconstruction that may undershoot, and bounded buckets report at
+   most it). *)
 let overflow_report hs =
   let n = Array.length hs.hs_bounds in
   if n = 0 then hs.hs_max else Float.max hs.hs_max hs.hs_bounds.(n - 1)
@@ -152,7 +159,10 @@ let percentile hs q =
       if c > 0 && Float.of_int !cum >= rank then
         result :=
           Some
-            (if !i < Array.length hs.hs_bounds then hs.hs_bounds.(!i)
+            (if !i < Array.length hs.hs_bounds then
+               (* no sample lies past the observed extrema, whatever the
+                  bucket's bounds *)
+               Float.min hs.hs_max (Float.max hs.hs_min hs.hs_bounds.(!i))
              else overflow_report hs);
       i := !i + 1
     done;

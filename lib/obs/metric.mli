@@ -6,7 +6,11 @@
     them. *)
 
 type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type gauge = {
+  g_name : string;
+  mutable g_value : float;
+  mutable g_set : bool;  (** set since creation or the last reset *)
+}
 
 type histogram = {
   h_name : string;
@@ -33,6 +37,10 @@ val add : counter -> int -> unit
 val value : counter -> int
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
+
+val gauge_is_set : gauge -> bool
+(** Whether {!set} was called since the gauge was created or last reset
+    — a registered gauge nobody set still reads 0. *)
 
 val observe : histogram -> float -> unit
 (** Record one sample: bump the first bucket whose bound is [>=] the value
@@ -66,7 +74,9 @@ val mean : histogram_snapshot -> float
 
 val percentile : histogram_snapshot -> float -> float
 (** [percentile hs q] for [q] in [[0,1]]: the upper bound of the bucket
-    where the cumulative count crosses [q * count]; the unbounded
-    overflow bucket reports the observed maximum (clamped to at least
-    the last bound, so the result is monotone in [q]); 0 when empty.
+    where the cumulative count crosses [q * count], clamped into the
+    observed range [[hs_min, hs_max]]; the unbounded overflow bucket
+    reports the observed maximum (clamped to at least the last bound, so
+    the result stays monotone in [q] on legacy snapshots whose
+    reconstructed maximum undershoots); 0 when empty.
     @raise Invalid_argument on [q] outside [[0,1]]. *)

@@ -260,6 +260,25 @@ let test_percentile_overflow_reports_max () =
   Alcotest.(check bool) "clamped to the last bound" true
     (Metric.percentile gs 1. >= Metric.percentile gs 0.5)
 
+let test_percentile_within_observed_range () =
+  (* Proof depths of 3 and 5 fill the (2, 4] and (4, 8] buckets; no
+     depth reached 8, so no percentile may report it. *)
+  let h = Metric.histogram "depth" in
+  List.iter (Metric.observe_int h) [ 3; 5; 5; 5 ];
+  let hs = Metric.snapshot_histogram h in
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "p%g is at most the max" (q *. 100.))
+        5. (Metric.percentile hs q))
+    [ 0.5; 0.9; 0.99 ];
+  (* ... nor below the smallest sample. *)
+  let g = Metric.histogram "flat" in
+  List.iter (Metric.observe_int g) [ 3; 3; 3 ];
+  Alcotest.(check (float 1e-9))
+    "p50 of equal samples" 3.
+    (Metric.percentile (Metric.snapshot_histogram g) 0.5)
+
 let test_min_max_survive_merge () =
   let mk samples =
     let h = Metric.histogram ~buckets:[| 8. |] "m" in
@@ -930,6 +949,8 @@ let () =
           Alcotest.test_case "histogram min/max" `Quick test_histogram_min_max;
           Alcotest.test_case "overflow percentile reports max" `Quick
             test_percentile_overflow_reports_max;
+          Alcotest.test_case "percentiles within the observed range" `Quick
+            test_percentile_within_observed_range;
           Alcotest.test_case "min/max survive merge" `Quick
             test_min_max_survive_merge;
           Alcotest.test_case "registry merge" `Quick test_registry_merge;

@@ -1117,6 +1117,343 @@ let test_count_extensions () =
         (Token.negotiate_with_token session ~requester:"req" ~target:"owner"
            ~ttl:10 (lit "info(X)")))
 
+(* ------------------------------------------------------------------ *)
+(* Wake-ups: a delivery re-evaluates only the parked goals it can affect *)
+
+let evaluations () = counter "engine.answers" + counter "engine.denials"
+let learner i = Printf.sprintf "learner%d" i
+let buy i = lit (Printf.sprintf {|buy(course0, "%s")|} (learner i))
+
+(* Fan-in at one provider in the shape of the paper's pay-per-use
+   example: the hub checks every purchase online with its Bank.  With
+   [slow_first], learner0's limit is not on file: the Bank must ask a
+   distant Agency for it, so learner0's purchase stays parked at the hub
+   while the others' approvals arrive. *)
+let hub_world ?(config = Session.default_config) ?(slow_first = false) k =
+  let session = Session.create ~config () in
+  ignore
+    (Session.add_peer session
+       ~program:
+         {|price(course0, 1200).
+           authorizedMerchant("hub") $ true signedBy ["Bank"].
+           buy(Course, Party) $ Requester = Party <-{true}
+             price(Course, P), approved(Party, P) @ "Bank",
+             authorizedMerchant("hub") @ "Bank".|}
+       "hub");
+  let limit i =
+    if slow_first && i = 0 then
+      {|limit("learner0", L) <- line("learner0", L) @ "Agency".|}
+    else Printf.sprintf {|limit("%s", 2000).|} (learner i)
+  in
+  ignore
+    (Session.add_peer session
+       ~program:
+         (String.concat "\n"
+            ({|approved(Party, Price) $ true <- limit(Party, L), Price <= L.|}
+            :: List.init k limit))
+       "Bank");
+  if slow_first then begin
+    ignore
+      (Session.add_peer session ~program:{|line("learner0", 2000) $ true.|}
+         "Agency");
+    Net.Network.set_link_latency session.Session.network ~from:"Bank"
+      ~target:"Agency" 20
+  end;
+  for i = 0 to k - 1 do
+    ignore (Session.add_peer session (learner i))
+  done;
+  session
+
+let test_wake_fan_in () =
+  (* Each Bank answer unblocks one purchase: the work per purchase must
+     not grow with the number of purchases parked beside it. *)
+  let per_purchase k =
+    let session = hub_world k in
+    let reactor = Reactor.create session in
+    let before = evaluations () in
+    let ids =
+      List.init k (fun i ->
+          Reactor.submit reactor ~requester:(learner i) ~target:"hub" (buy i))
+    in
+    ignore (Reactor.run reactor);
+    List.iter
+      (fun id ->
+        Alcotest.(check bool) "purchase granted" true
+          (granted (Reactor.outcome reactor id)))
+      ids;
+    float_of_int (evaluations () - before) /. float_of_int k
+  in
+  let alone = per_purchase 1 in
+  List.iter
+    (fun k ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "evaluations per purchase, %d at once" k)
+        alone (per_purchase k))
+    [ 8; 64 ]
+
+let transcript session =
+  Format.asprintf "%a" Net.Network.pp_transcript session.Session.network
+
+let lines l = String.concat "" (List.map (fun line -> line ^ "\n") l)
+
+(* Index of the first transcript line whose message starts with
+   [prefix]. *)
+let line_of text prefix =
+  let lines = String.split_on_char '\n' text in
+  let rec go i = function
+    | [] -> Alcotest.failf "no transcript line %S" prefix
+    | l :: rest ->
+        let body =
+          match String.index_opt l ']' with
+          | Some j -> String.trim (String.sub l (j + 1) (String.length l - j - 1))
+          | None -> l
+        in
+        if String.starts_with ~prefix body then i else go (i + 1) rest
+  in
+  go 0 lines
+
+(* P serves two clients; Q's answer takes a detour through Q1. *)
+let slow_q_world ?externals program =
+  let session = Session.create () in
+  ignore (Session.add_peer session ?externals ~program "P");
+  ignore
+    (Session.add_peer session ~program:{|slow("x") $ true <-{true} s1("x") @ "Q1".|}
+       "Q");
+  ignore (Session.add_peer session ~program:{|s1("x") $ true.|} "Q1");
+  ignore (Session.add_peer session "c1");
+  ignore (Session.add_peer session "c2");
+  session
+
+let test_wake_cross_goal_knowledge () =
+  (* b("x") parks on its first alternative's call to Q, which must ask
+     Q1 before it can reply; its second alternative needs
+     fact("x") @ "R", which P learns from the answer to a("x")'s
+     sub-query.  b("x") must settle on that delivery, before Q replies. *)
+  let session =
+    slow_q_world
+      {|b("x") $ true <-{true} slow("x") @ "Q".
+        b("x") $ true <-{true} fact("x") @ "R".
+        a("x") $ true <-{true} fact("x") @ "R".|}
+  in
+  ignore (Session.add_peer session ~program:{|fact("x") $ true.|} "R");
+  let reactor = Reactor.create session in
+  let rb = Reactor.submit reactor ~requester:"c1" ~target:"P" (lit {|b("x")|}) in
+  let ra = Reactor.submit reactor ~requester:"c2" ~target:"P" (lit {|a("x")|}) in
+  ignore (Reactor.run reactor);
+  Alcotest.(check bool) "b granted" true (granted (Reactor.outcome reactor rb));
+  Alcotest.(check bool) "a granted" true (granted (Reactor.outcome reactor ra));
+  let text = transcript session in
+  Alcotest.(check bool) "b answered before Q replies" true
+    (line_of text "P -> c1" < line_of text "Q -> P");
+  Alcotest.(check string) "transcript, as when every wake-up re-ran every goal"
+    (lines
+       [
+         {|[   1] c1 -> P: query b("x") (14 bytes)|};
+         {|[   2] c2 -> P: query a("x") (14 bytes)|};
+         {|[   3] P -> Q: query slow("x") (17 bytes)|};
+         {|[   4] P -> R: query fact("x") (17 bytes)|};
+         {|[   5] Q -> Q1: query s1("x") (15 bytes)|};
+         {|[   6] R -> P: answer fact("x"): 1 instance(s), 0 cert(s) (26 bytes)|};
+         {|[   7] Q1 -> Q: answer s1("x"): 1 instance(s), 0 cert(s) (22 bytes)|};
+         {|[   8] P -> c2: answer a("x"): 1 instance(s), 0 cert(s) (20 bytes)|};
+         {|[   9] P -> c1: answer b("x"): 1 instance(s), 0 cert(s) (20 bytes)|};
+         {|[  10] Q -> P: answer slow("x"): 1 instance(s), 0 cert(s) (26 bytes)|};
+       ])
+    text
+
+let test_wake_resolved_without_delivery () =
+  (* req serves h("x") for S by asking T for g("x"), which its own root
+     has outstanding.  T's own sub-query crosses a slow link, so the
+     root's deadline withdraws req's sub-query first and T drops its goal
+     at the Cancel: T never answers.  The goal for S must be re-evaluated
+     — and denied — at req's next delivery, not left for quiescence. *)
+  let session = Session.create () in
+  ignore
+    (Session.add_peer session ~program:{|h("x") $ true <-{true} g("x") @ "T".|}
+       "req");
+  ignore
+    (Session.add_peer session ~program:{|g("x") $ true <-{true} u("x") @ "U".|}
+       "T");
+  ignore (Session.add_peer session ~program:{|u("x") $ true.|} "U");
+  ignore (Session.add_peer session ~program:{|v("x") $ true.|} "V");
+  ignore (Session.add_peer session "S");
+  ignore (Session.add_peer session "bystander");
+  (* the bystander's late crash keeps the fault plan, hence the timers a
+     deadline withdraws, active *)
+  Net.Network.set_faults session.Session.network
+    (crash_faults [ ("bystander", 1000, max_int) ]);
+  Net.Network.set_link_latency session.Session.network ~from:"T" ~target:"U"
+    30;
+  let reactor =
+    Reactor.create ~config:{ Reactor.default_config with Reactor.rto = 100 }
+      session
+  in
+  let root =
+    Reactor.submit ~deadline:4 reactor ~requester:"req" ~target:"T"
+      (lit {|g("x")|})
+  in
+  let served =
+    Reactor.submit reactor ~requester:"S" ~target:"req" (lit {|h("x")|})
+  in
+  while Reactor.result reactor root = None && Reactor.step reactor do
+    ()
+  done;
+  (match Reactor.outcome reactor root with
+  | Negotiation.Denied reason ->
+      Alcotest.(check string) "root expired" "deadline expired" reason
+  | Negotiation.Granted _ -> Alcotest.fail "granted past its deadline");
+  Alcotest.(check bool) "goal for S still parked" true
+    (Reactor.result reactor served = None);
+  let breaks = counter "reactor.quiescence_breaks" in
+  let later =
+    Reactor.submit reactor ~requester:"req" ~target:"V" (lit {|v("x")|})
+  in
+  ignore (Reactor.run reactor);
+  Alcotest.(check bool) "later request granted" true
+    (granted (Reactor.outcome reactor later));
+  (match Reactor.outcome reactor served with
+  | Negotiation.Denied reason ->
+      Alcotest.(check string) "denied by req's policy" "denied by target" reason
+  | Negotiation.Granted _ -> Alcotest.fail "granted without g(x)");
+  Alcotest.(check int) "settled without breaking quiescence" breaks
+    (counter "reactor.quiescence_breaks")
+
+(* deal("x") parks at P on its second alternative, a call to Q; [unblock]
+   then makes its first alternative, [first], provable behind the
+   reactor's back.  P's next delivery, however unrelated (R's answer for
+   quick("y")), must re-evaluate and settle it, before Q replies. *)
+let settles_at_next_delivery ?externals ~first unblock =
+  let session =
+    slow_q_world ?externals
+      (Printf.sprintf
+         {|deal("x") $ true <-{true} %s.
+           deal("x") $ true <-{true} slow("x") @ "Q".
+           quick("y") $ true <-{true} ok("y") @ "R".|}
+         first)
+  in
+  ignore (Session.add_peer session ~program:{|ok("y") $ true.|} "R");
+  let reactor = Reactor.create session in
+  let deal =
+    Reactor.submit reactor ~requester:"c1" ~target:"P" (lit {|deal("x")|})
+  in
+  let quick =
+    Reactor.submit reactor ~requester:"c2" ~target:"P" (lit {|quick("y")|})
+  in
+  (* both roots, then both goals at P *)
+  while Reactor.parked_count reactor < 4 && Reactor.step reactor do
+    ()
+  done;
+  Alcotest.(check int) "both goals parked at P" 4
+    (Reactor.parked_count reactor);
+  unblock session;
+  ignore (Reactor.run reactor);
+  Alcotest.(check bool) "deal granted" true
+    (granted (Reactor.outcome reactor deal));
+  Alcotest.(check bool) "quick granted" true
+    (granted (Reactor.outcome reactor quick));
+  let text = transcript session in
+  Alcotest.(check bool) "deal answered at R's delivery, before Q replies" true
+    (line_of text "P -> c1" < line_of text "Q -> P")
+
+let test_wake_volatile () =
+  (* An account limit is an external the KB cannot see change. *)
+  let accounts = Externals.Accounts.create () in
+  Externals.Accounts.set_limit accounts ~account:"acme" 50;
+  settles_at_next_delivery
+    ~externals:(Externals.Accounts.externals accounts)
+    ~first:{|purchaseApproved("acme", 100)|}
+    (fun _ -> Externals.Accounts.set_limit accounts ~account:"acme" 500)
+
+let test_wake_outside_kb_change () =
+  (* The application loads a rule into P's KB between steps. *)
+  settles_at_next_delivery ~first:{|local("x")|} (fun session ->
+      Peer.load_program (Session.peer session "P") {|local("x").|})
+
+let test_wake_quiescence_order () =
+  (* A and B deadlock over a("o") and b("o"); B is then woken by an
+     unrelated answer.  Quiescence must force-deny the goal whose park or
+     peer's last wake-up is latest — B's, moved up by that wake-up — not
+     the newest parked one, A's, as it did when every wake-up
+     re-evaluated every parked goal. *)
+  let session = Session.create () in
+  ignore
+    (Session.add_peer session ~program:{|a("o") $ true <-{true} b("o") @ "B".|}
+       "A");
+  ignore
+    (Session.add_peer session
+       ~program:
+         {|b("o") $ true <-{true} a("o") @ "A".
+           c("o") $ true <-{true} d("o") @ "D".|}
+       "B");
+  ignore (Session.add_peer session ~program:{|d("o") $ true.|} "D");
+  ignore (Session.add_peer session "C1");
+  ignore (Session.add_peer session "C2");
+  let reactor = Reactor.create session in
+  let ra = Reactor.submit reactor ~requester:"C1" ~target:"A" (lit {|a("o")|}) in
+  let rc = Reactor.submit reactor ~requester:"C2" ~target:"B" (lit {|c("o")|}) in
+  ignore (Reactor.run reactor);
+  Alcotest.(check bool) "deadlocked request denied" false
+    (granted (Reactor.outcome reactor ra));
+  Alcotest.(check bool) "unrelated request granted" true
+    (granted (Reactor.outcome reactor rc));
+  Alcotest.(check int) "one goal forced" 1 (counter "reactor.quiescence_breaks");
+  Alcotest.(check string) "transcript, as when every wake-up re-ran every goal"
+    (lines
+       [
+         {|[   1] C1 -> A: query a("o") (14 bytes)|};
+         {|[   2] C2 -> B: query c("o") (14 bytes)|};
+         {|[   3] A -> B: query b("o") (14 bytes)|};
+         {|[   4] B -> D: query d("o") (14 bytes)|};
+         {|[   5] B -> A: query a("o") (14 bytes)|};
+         {|[   6] D -> B: answer d("o"): 1 instance(s), 0 cert(s) (20 bytes)|};
+         {|[   7] B -> C2: answer c("o"): 1 instance(s), 0 cert(s) (20 bytes)|};
+         {|[   8] B -> A: deny b("o") (negotiation cycle) (31 bytes)|};
+         {|[   9] A -> B: deny a("o") (release policy not satisfied) (42 bytes)|};
+         {|[  10] A -> C1: deny a("o") (release policy not satisfied) (42 bytes)|};
+       ])
+    (transcript session)
+
+let test_guard_bills_useful_work () =
+  (* learner0's purchase waits at the hub for the Bank's slow answer
+     while the other purchases' approvals reach the hub.  None of them
+     can unblock it, so none may be charged to learner0's quota. *)
+  let config = { Session.default_config with Session.guard = Guard.defaults } in
+  let k = 4 in
+  let session = hub_world ~config ~slow_first:true k in
+  let reactor = Reactor.create session in
+  let remaining () =
+    Guard.remaining_work (Reactor.guard reactor) ~from:"learner0" ~target:"hub"
+  in
+  let ids =
+    List.init k (fun i ->
+        Reactor.submit reactor ~requester:(learner i) ~target:"hub" (buy i))
+  in
+  let full = remaining () in
+  while remaining () = full && Reactor.step reactor do
+    ()
+  done;
+  let parked = remaining () in
+  Alcotest.(check bool) "learner0's goal evaluated" true (parked < full);
+  let others = List.tl ids in
+  while
+    List.exists (fun id -> Reactor.result reactor id = None) others
+    && Reactor.step reactor
+  do
+    ()
+  done;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) "other purchase granted" true
+        (granted (Reactor.outcome reactor id)))
+    others;
+  Alcotest.(check bool) "learner0 still waiting" true
+    (Reactor.result reactor (List.hd ids) = None);
+  Alcotest.(check int) "unrelated answers charge learner0 nothing" parked
+    (remaining ());
+  ignore (Reactor.run reactor);
+  Alcotest.(check bool) "learner0 granted" true
+    (granted (Reactor.outcome reactor (List.hd ids)))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "reactor"
@@ -1142,6 +1479,16 @@ let () =
           tc "interleaved negotiations" test_reactor_concurrent_negotiations;
           tc "marketplace over one queue" test_reactor_marketplace_concurrent;
           tc "missing credential denied" test_reactor_disclosure_message;
+        ] );
+      ( "wake-ups",
+        [
+          tc "fan-in" test_wake_fan_in;
+          tc "cross-goal knowledge" test_wake_cross_goal_knowledge;
+          tc "resolved without a delivery"
+            test_wake_resolved_without_delivery;
+          tc "volatile goals" test_wake_volatile;
+          tc "outside KB change" test_wake_outside_kb_change;
+          tc "quiescence order" test_wake_quiescence_order;
         ] );
       ( "counting",
         [
@@ -1189,6 +1536,7 @@ let () =
           tc "breaker open/half-open/close" test_guard_breaker_transitions;
           tc "rate limit" test_guard_rate_limit;
           tc "work quota" test_guard_quota;
+          tc "quota bills useful work" test_guard_bills_useful_work;
           tc "solicitation" test_guard_solicitation;
           tc "bad certs and bombs" test_guard_bad_cert_and_bomb;
           tc "denial classification" test_classify_guard_denials;
