@@ -49,16 +49,26 @@ let print_table ~title ~header rows =
 
 let fmt_ms seconds = Printf.sprintf "%.2f" (seconds *. 1000.)
 
-(* Median CPU time of [runs] executions of [f] (fresh input per run). *)
+(* Seconds on the monotonic wall clock. *)
+let wall_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+
+(* Wall time of [runs] executions of [f] (fresh input per run), in
+   seconds: the median and the lower and upper quartiles. *)
+type timing = { q1 : float; median : float; q3 : float }
+
 let time_median ?(runs = 5) f =
   let samples =
-    List.init runs (fun _ ->
-        let t0 = Sys.time () in
+    Array.init runs (fun _ ->
+        let t0 = wall_s () in
         f ();
-        Sys.time () -. t0)
+        wall_s () -. t0)
   in
-  let sorted = List.sort compare samples in
-  List.nth sorted (runs / 2)
+  Array.sort compare samples;
+  { q1 = samples.(runs / 4); median = samples.(runs / 2); q3 = samples.(3 * runs / 4) }
+
+(* "median [q1, q3]" in milliseconds. *)
+let fmt_timing t =
+  Printf.sprintf "%s [%s, %s]" (fmt_ms t.median) (fmt_ms t.q1) (fmt_ms t.q3)
 
 let outcome_str r = if Negotiation.succeeded r then "granted" else "denied"
 
@@ -180,7 +190,7 @@ let e3 () =
           string_of_int r.Negotiation.messages;
           string_of_int r.Negotiation.disclosures;
           string_of_int r.Negotiation.elapsed;
-          fmt_ms t;
+          fmt_timing t;
         ])
       depths
   in
@@ -188,7 +198,8 @@ let e3 () =
     ~title:
       "E3  Bilateral policy-chain depth scaling (messages grow linearly, \
        2*depth + 2)"
-    ~header:[ "depth"; "outcome"; "msgs"; "certs"; "ticks"; "ms (incl setup)" ]
+    ~header:
+      [ "depth"; "outcome"; "msgs"; "certs"; "ticks"; "ms [q1, q3] (incl setup)" ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -351,9 +362,9 @@ let e7 () =
       rows_prim :=
         [
           Printf.sprintf "RSA-%d" bits;
-          fmt_ms keygen_t;
-          fmt_ms sign_t;
-          fmt_ms verify_t;
+          fmt_timing keygen_t;
+          fmt_timing sign_t;
+          fmt_timing verify_t;
         ]
         :: !rows_prim)
     [ 320; 384; 512 ];
@@ -361,9 +372,9 @@ let e7 () =
     ~title:
       (Printf.sprintf
          "E7a Crypto primitives (SHA-256 of 64 KiB: %s ms -> %.1f MB/s)"
-         (fmt_ms sha_t)
-         (65536. /. 1048576. /. sha_t))
-    ~header:[ "key"; "keygen ms"; "sign ms"; "verify ms" ]
+         (fmt_timing sha_t)
+         (65536. /. 1048576. /. sha_t.median))
+    ~header:[ "key"; "keygen ms [q1, q3]"; "sign ms [q1, q3]"; "verify ms [q1, q3]" ]
     (List.rev !rows_prim);
   (* Negotiation with and without signature verification (ablation). *)
   let nego verify_signatures =
@@ -378,10 +389,10 @@ let e7 () =
   let with_v = nego true and without_v = nego false in
   print_table
     ~title:"E7b Scenario-1 negotiation with/without certificate verification"
-    ~header:[ "verification"; "ms / negotiation (incl setup)" ]
+    ~header:[ "verification"; "ms / negotiation [q1, q3] (incl setup)" ]
     [
-      [ "on"; fmt_ms with_v ];
-      [ "off"; fmt_ms without_v ];
+      [ "on"; fmt_timing with_v ];
+      [ "off"; fmt_timing without_v ];
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -439,10 +450,10 @@ let e8 () =
         [
           string_of_int n;
           string_of_int (List.length fwd.Dlp.Forward.facts);
-          fmt_ms fwd_t;
-          fmt_ms bwd_t;
-          fmt_ms bwd_all_t;
-          fmt_ms tabled_all_t;
+          fmt_timing fwd_t;
+          fmt_timing bwd_t;
+          fmt_timing bwd_all_t;
+          fmt_timing tabled_all_t;
         ])
       [ 8; 16; 32; 64; 128 ]
   in
@@ -453,8 +464,8 @@ let e8 () =
        fixpoint; the (naive, round-based) tabled engine buys completeness \
        on left recursion at a constant-factor cost"
     ~header:
-      [ "edges"; "facts at fixpoint"; "forward ms"; "SLD point ms";
-        "SLD all ms"; "tabled all ms" ]
+      [ "edges"; "facts at fixpoint"; "forward ms [q1, q3]";
+        "SLD point ms [q1, q3]"; "SLD all ms [q1, q3]"; "tabled all ms [q1, q3]" ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -698,9 +709,9 @@ let e12 () =
         let linear = query_time (build false n) n in
         [
           string_of_int n;
-          fmt_ms indexed;
-          fmt_ms linear;
-          Printf.sprintf "%.1fx" (linear /. indexed);
+          fmt_timing indexed;
+          fmt_timing linear;
+          Printf.sprintf "%.1fx" (linear.median /. indexed.median);
         ])
       [ 100; 400; 1600; 6400 ]
   in
@@ -708,7 +719,7 @@ let e12 () =
     ~title:
       "E12 First-argument indexing ablation: 200 point lookups over a \
        fact base of n entries (indexed stays flat, linear grows with n)"
-    ~header:[ "facts"; "indexed ms"; "linear ms"; "speedup" ]
+    ~header:[ "facts"; "indexed ms [q1, q3]"; "linear ms [q1, q3]"; "speedup" ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -724,7 +735,6 @@ let e13 () =
         let session = mp.Scenario.mp_session in
         let stats = Net.Network.stats session.Session.network in
         let before = Net.Stats.messages stats in
-        let t0 = Sys.time () in
         let granted =
           List.fold_left
             (fun acc (learner, provider, goal) ->
@@ -735,7 +745,6 @@ let e13 () =
               if Negotiation.succeeded r then acc + 1 else acc)
             0 mp.Scenario.mp_goals
         in
-        let dt = Sys.time () -. t0 in
         let total = List.length mp.Scenario.mp_goals in
         let msgs = Net.Stats.messages stats - before in
         [
@@ -744,18 +753,16 @@ let e13 () =
           string_of_int granted;
           string_of_int msgs;
           Printf.sprintf "%.2f" (float_of_int msgs /. float_of_int total);
-          fmt_ms dt;
-          Printf.sprintf "%.0f" (float_of_int total /. dt);
         ])
       [ (2, 2); (4, 4); (4, 16); (8, 16) ]
   in
   print_table
     ~title:
-      "E13 Marketplace throughput (providers x learners; every learner \
+      "E13 Marketplace message cost (providers x learners; every learner \
        enrols at every provider; caching makes repeat negotiations \
-       cheaper, so msgs/negotiation falls below the cold-start cost)"
-    ~header:
-      [ "size"; "negotiations"; "granted"; "msgs"; "msgs/nego"; "ms"; "nego/s" ]
+       cheaper, so msgs/negotiation falls below the cold-start cost; \
+       perfbench's durable workload measures throughput)"
+    ~header:[ "size"; "negotiations"; "granted"; "msgs"; "msgs/nego" ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1354,9 +1361,9 @@ let time_alloc ?(runs = 5) f =
   let before = Gc.allocated_bytes () in
   let samples =
     List.init runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = wall_s () in
         f ();
-        Unix.gettimeofday () -. t0)
+        wall_s () -. t0)
   in
   let words =
     (Gc.allocated_bytes () -. before)

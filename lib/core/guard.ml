@@ -8,7 +8,6 @@ module Otracer = Peertrust_obs.Tracer
 type config = {
   enabled : bool;
   max_bytes : int;
-  max_batch : int;
   max_goal_depth : int;
   rate : int;
   rate_window : int;
@@ -22,7 +21,6 @@ let defaults =
   {
     enabled = true;
     max_bytes = 8192;
-    max_batch = 32;
     max_goal_depth = 16;
     rate = 8;
     rate_window = 8;
@@ -151,9 +149,8 @@ let bad_cert t certs =
     certs
 
 (* Structural + solicitation checks for one payload (no breaker, no
-   violation recording — [admit] wraps this).  [in_batch] forbids nested
-   batches. *)
-let rec check t st ~now ~solicited ~in_batch payload =
+   violation recording — [admit] wraps this). *)
+let check t st ~now ~solicited payload =
   let cfg = t.config in
   let size = Net.Message.size payload in
   if size > cfg.max_bytes then Reject (Oversized size)
@@ -215,23 +212,6 @@ let rec check t st ~now ~solicited ~in_batch payload =
         (* Withdrawing one's own outstanding query is harmless: the
            receiver only drops work parked for the sender itself. *)
         Admit
-    | Net.Message.Batch payloads ->
-        if in_batch then Reject (Malformed "nested batch")
-        else if payloads = [] then Reject (Malformed "empty batch")
-        else if List.length payloads > cfg.max_batch then
-          Reject (Malformed (Printf.sprintf "batch of %d" (List.length payloads)))
-        else
-          (* First rejection wins; a batch of nothing but stale
-             duplicates is itself stale. *)
-          let rec fold admit = function
-            | [] -> if admit then Admit else Stale "batch"
-            | p :: rest -> (
-                match check t st ~now ~solicited ~in_batch:true p with
-                | Reject v -> Reject v
-                | Admit -> fold true rest
-                | Stale _ -> fold admit rest)
-          in
-          fold false payloads
 
 let record_violation t st ~now ~from ~target v =
   Metric.incr m_rejected;
@@ -271,7 +251,7 @@ let admit t ~now ~from ~target ?(solicited = fun _ -> `Unknown) payload =
         Metric.incr m_rejected;
         Reject Quarantined
     | Closed | Half_open -> (
-        match check t st ~now ~solicited ~in_batch:false payload with
+        match check t st ~now ~solicited payload with
         | Admit ->
             Metric.incr m_admitted;
             if st.breaker = Half_open then begin

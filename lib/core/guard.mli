@@ -7,8 +7,8 @@
     queued reactor's dispatch and classifies every inbound envelope
     before it can touch the engine:
 
-    - {b structural} checks — payload size caps, batch shape, authority-
-      chain/term depth of query goals (delegation bombs), certificate
+    - {b structural} checks — payload size caps, authority-chain/term
+      depth of query goals (delegation bombs), certificate
       well-formedness ({!Peertrust_crypto.Wire} decoding for raw blobs)
       and signature verification via the session keystore;
     - {b solicitation} checks — an [Answer]/[Deny] must match a
@@ -30,7 +30,6 @@
 type config = {
   enabled : bool;
   max_bytes : int;  (** per-payload wire-size cap *)
-  max_batch : int;  (** payloads per batch; nested batches are malformed *)
   max_goal_depth : int;
       (** cap on a query goal's authority-chain length and term depth *)
   rate : int;  (** queries admitted per requester per window *)

@@ -122,10 +122,12 @@ type timer = {
          retransmits must resend the same payload kind *)
 }
 
-(* Delivery queue ordered by (deliver_at, envelope id): earliest delivery
-   first, post order on ties — plain FIFO when no delays are injected. *)
+(* Delivery queue ordered by (deliver_at, envelope id, enqueue number):
+   earliest delivery first, post order on ties — plain FIFO when no
+   delays are injected.  Duplicated copies of one post share an id, so
+   the enqueue number keeps two copies due at the same tick apart. *)
 module Dq = Map.Make (struct
-  type t = int * int
+  type t = int * int * int
 
   let compare = compare
 end)
@@ -153,6 +155,7 @@ type t = {
   guard : Guard.t;
   adversaries : (string, Net.Adversary.t) Hashtbl.t;
   mutable dq : Net.Envelope.t Dq.t;
+  mutable enqueued : int;  (* envelopes ever enqueued: the third Dq key *)
   mutable next_synth : int;  (* ids for locally synthesized messages, < 0 *)
   rings : (string, Net.Dedup.t) Hashtbl.t;
   (* delivered envelope ids, one bounded dedup ring per receiving peer —
@@ -238,6 +241,7 @@ let create ?(config = default_config) session =
         Guard.create ~config:session.Session.config.Session.guard ~verify ();
       adversaries = Hashtbl.create 4;
       dq = Dq.empty;
+      enqueued = 0;
       next_synth = -1;
       rings = Hashtbl.create 8;
       timers = Hashtbl.create 16;
@@ -290,7 +294,12 @@ let create ?(config = default_config) session =
 
 let goal_key = Peer.goal_key
 let now t = Net.Clock.now (Net.Network.clock t.session.Session.network)
-let enqueue t env = t.dq <- Dq.add (env.Net.Envelope.deliver_at, env.Net.Envelope.id) env t.dq
+let enqueue t env =
+  t.enqueued <- t.enqueued + 1;
+  t.dq <-
+    Dq.add
+      (env.Net.Envelope.deliver_at, env.Net.Envelope.id, t.enqueued)
+      env t.dq
 
 (* The trace context a message sent right now should carry: the innermost
    open span's, [None] on untraced runs.  Callers that act on behalf of a
@@ -357,30 +366,23 @@ let post ?attempt ?trace t ~from ~target payload =
     else raise (Net.Network.Unreachable target)
   with
   | envelopes -> List.iter (enqueue t) envelopes
-  | exception Net.Network.Unreachable _ ->
-      let rec unreachable payload =
-        match payload with
-        | Net.Message.Query { goal } ->
-            enqueue_synthetic ?trace t ~from:target ~target:from
-              (Net.Message.Deny { goal; reason = "unreachable" })
-        | Net.Message.Tquery { goal; _ } ->
-            enqueue_synthetic ?trace t ~from:target ~target:from
-              (Net.Message.Deny { goal; reason = "unreachable" })
-        | Net.Message.Batch payloads -> List.iter unreachable payloads
-        | Net.Message.Answer _ | Net.Message.Deny _
-        | Net.Message.Disclosure _ | Net.Message.Ack | Net.Message.Raw _
-        | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-        | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-            Metric.incr m_drops;
-            Otracer.event (Obs.tracer ())
-              (Printf.sprintf "reactor.drop %s -> %s: %s (unreachable)" from
-                 target
-                 (Net.Message.summary payload));
-            Log.debug (fun m ->
-                m "dropping %s -> %s: %s (unreachable)" from target
-                  (Net.Message.summary payload))
-      in
-      unreachable payload
+  | exception Net.Network.Unreachable _ -> (
+      match payload with
+      | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
+          enqueue_synthetic ?trace t ~from:target ~target:from
+            (Net.Message.Deny { goal; reason = "unreachable" })
+      | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
+      | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
+      | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
+      | Net.Message.Cancel _ ->
+          Metric.incr m_drops;
+          Otracer.event (Obs.tracer ())
+            (Printf.sprintf "reactor.drop %s -> %s: %s (unreachable)" from
+               target
+               (Net.Message.summary payload));
+          Log.debug (fun m ->
+              m "dropping %s -> %s: %s (unreachable)" from target
+                (Net.Message.summary payload)))
   | exception Net.Network.Budget_exhausted -> t.budget_hit <- true
 
 (* Retransmission timers only run under an active fault plan: without one
@@ -846,7 +848,7 @@ let learn_certs t (peer : Peer.t) ~from certs =
 let cert_rules certs =
   List.map (fun (c : Peertrust_crypto.Cert.t) -> c.Peertrust_crypto.Cert.rule) certs
 
-let rec dispatch t ~synthetic (from, target, payload) =
+let dispatch t ~synthetic (from, target, payload) =
   match Hashtbl.find_opt t.session.Session.peers target with
   | None -> ()
   | Some peer -> (
@@ -946,8 +948,6 @@ let rec dispatch t ~synthetic (from, target, payload) =
                               "reactor.cancelled %s withdraws %s at %s" from key
                               target)))
             hosts
-      | Net.Message.Batch payloads ->
-          List.iter (fun p -> dispatch t ~synthetic (from, target, p)) payloads
       | Net.Message.Ack -> ()
       | Net.Message.Raw _ ->
           (* Garbage on the wire: without a guard there is nothing to do
@@ -1190,23 +1190,18 @@ let solicited_by t ~from ~target goal =
 (* A rejected query still owes its sender a reply — the honest reading
    of a rejection is a denial, and an honest requester that trips a
    limit must terminate with a structured outcome rather than hang.
-   One Deny per query inside the payload (1:1, no amplification);
-   rejected non-query payloads are dropped silently. *)
+   One Deny per rejected query (1:1, no amplification); rejected
+   non-query payloads are dropped silently. *)
 let reject_payload t ~from ~target violation payload =
   let reason = Guard.denial_reason violation in
-  let rec deny = function
-    | Net.Message.Query { goal } ->
-        post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
-    | Net.Message.Tquery { goal; _ } ->
-        post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
-    | Net.Message.Batch payloads -> List.iter deny payloads
-    | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
-    | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
-    | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
-    | Net.Message.Cancel _ ->
-        ()
-  in
-  deny payload
+  match payload with
+  | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
+      post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
+  | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
+  | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
+  | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
+  | Net.Message.Cancel _ ->
+      ()
 
 (* Inbound traffic for a registered adversary: let it misbehave in
    response. *)
@@ -1225,7 +1220,7 @@ let payload_goal = function
   | Net.Message.Tanswer { goal; _ }
   | Net.Message.Cancel { goal } ->
       Some (goal_key goal)
-  | Net.Message.Batch _ | Net.Message.Disclosure _ | Net.Message.Ack
+  | Net.Message.Disclosure _ | Net.Message.Ack
   | Net.Message.Raw _ | Net.Message.Tprobe _ | Net.Message.Tstat _
   | Net.Message.Tcomplete _ ->
       None
@@ -1572,7 +1567,7 @@ let step t =
   let ev_tick = match t.events with [] -> max_int | (tk, _) :: _ -> tk in
   let dv = Dq.min_binding_opt t.dq in
   let tmr = next_timer t in
-  let dq_tick = match dv with Some ((at, _), _) -> at | None -> max_int in
+  let dq_tick = match dv with Some ((at, _, _), _) -> at | None -> max_int in
   let tm_tick = match tmr with Some (tt, _, _) -> tt | None -> max_int in
   if ev_tick = max_int && dv = None && tmr = None then false
   else if ev_tick <= dq_tick && ev_tick <= tm_tick then begin

@@ -236,21 +236,149 @@ let divmod a b =
 
 let rem a b = snd (divmod a b)
 
-let modpow b e m =
+(* A modulus prepared for repeated exponentiation.  An odd modulus of n
+   limbs carries its Montgomery constants for R = 2^(26 n): -m^-1 mod
+   2^26 and R^2 mod m (padded to n limbs).  The record is immutable, so
+   one value can be shared by every user of a key; [modpow] allocates
+   its own scratch. *)
+type modulus =
+  | Odd of { m : t; minv : int; r2 : int array }
+  | Even of t
+
+let pad_limbs n (a : t) =
+  let r = Array.make n 0 in
+  Array.blit a 0 r 0 (Array.length a);
+  r
+
+let modulus m =
   if is_zero m then raise Division_by_zero
-  else if equal m one then zero
+  else if is_even m then Even m
   else begin
-    let result = ref one in
-    let b = ref (rem b m) in
-    let nbits = bits e in
-    for i = 0 to nbits - 1 do
-      let limb = e.(i / limb_bits) in
-      if (limb lsr (i mod limb_bits)) land 1 = 1 then
-        result := rem (mul !result !b) m;
-      if i < nbits - 1 then b := rem (mul !b !b) m
+    let n = Array.length m in
+    (* Newton's iteration for m0^-1 mod 2^26: an odd m0 is its own
+       inverse mod 8, and each step doubles the correct low bits. *)
+    let m0 = m.(0) in
+    let x = ref m0 in
+    for _ = 1 to 4 do
+      x := !x * ((2 - (m0 * !x land limb_mask)) land limb_mask) land limb_mask
     done;
-    !result
+    let minv = (base - !x) land limb_mask in
+    let r2 = pad_limbs n (rem (shift_left one (2 * limb_bits * n)) m) in
+    Odd { m; minv; r2 }
   end
+
+(* Montgomery multiplication, CIOS with the reduction folded into the
+   product loop: [dst] <- a * b * R^-1 mod m for n-limb [a], [b] below
+   m.  [t] is (n+1)-limb scratch; [dst] may alias [a] or [b].  Every
+   intermediate is below 2^54, well inside a native int. *)
+let mont_mul m minv a b t dst =
+  let n = Array.length m in
+  Array.fill t 0 (n + 1) 0;
+  for i = 0 to n - 1 do
+    let bi = b.(i) in
+    let s = t.(0) + (a.(0) * bi) in
+    let u = (s land limb_mask) * minv land limb_mask in
+    let c = ref ((s + (u * m.(0))) lsr limb_bits) in
+    for j = 1 to n - 1 do
+      let s = t.(j) + (a.(j) * bi) + (u * m.(j)) + !c in
+      t.(j - 1) <- s land limb_mask;
+      c := s lsr limb_bits
+    done;
+    let s = t.(n) + !c in
+    t.(n - 1) <- s land limb_mask;
+    t.(n) <- s lsr limb_bits
+  done;
+  (* t < 2m: one conditional subtraction brings it below m. *)
+  let below =
+    t.(n) = 0
+    &&
+    let rec go j = j >= 0 && (t.(j) < m.(j) || (t.(j) = m.(j) && go (j - 1))) in
+    go (n - 1)
+  in
+  if below then Array.blit t 0 dst 0 n
+  else begin
+    let borrow = ref 0 in
+    for j = 0 to n - 1 do
+      let d = t.(j) - m.(j) - !borrow in
+      if d < 0 then begin
+        dst.(j) <- d + base;
+        borrow := 1
+      end
+      else begin
+        dst.(j) <- d;
+        borrow := 0
+      end
+    done
+  end
+
+let bit (e : t) i = (e.(i / limb_bits) lsr (i mod limb_bits)) land 1
+
+(* Exponents longer than this use a fixed 4-bit window. *)
+let window_threshold = 64
+
+let modpow_mont m minv r2 b e =
+  let n = Array.length m in
+  let t = Array.make (n + 1) 0 in
+  let x = pad_limbs n (rem b m) in
+  mont_mul m minv x r2 t x;
+  let acc = Array.copy x in
+  let nbits = bits e in
+  if nbits <= window_threshold then
+    (* Left to right from below the top bit, which [acc = x] covers. *)
+    for i = nbits - 2 downto 0 do
+      mont_mul m minv acc acc t acc;
+      if bit e i = 1 then mont_mul m minv acc x t acc
+    done
+  else begin
+    (* table.(k) = x^k in Montgomery form, k = 1 .. 15. *)
+    let table = Array.make 16 x in
+    for k = 2 to 15 do
+      let y = Array.make n 0 in
+      mont_mul m minv table.(k - 1) x t y;
+      table.(k) <- y
+    done;
+    (* Digit k is bits 4k .. 4k+3; the top one holds the leftover high
+       bits, including the top bit, so it is never zero. *)
+    let digit k =
+      let d = ref 0 in
+      for i = min (nbits - 1) ((4 * k) + 3) downto 4 * k do
+        d := (!d lsl 1) lor bit e i
+      done;
+      !d
+    in
+    let kmax = (nbits - 1) / 4 in
+    Array.blit table.(digit kmax) 0 acc 0 n;
+    for k = kmax - 1 downto 0 do
+      for _ = 1 to 4 do
+        mont_mul m minv acc acc t acc
+      done;
+      let d = digit k in
+      if d <> 0 then mont_mul m minv acc table.(d) t acc
+    done
+  end;
+  (* Leave the Montgomery domain: multiply by 1. *)
+  let unit = Array.make n 0 in
+  unit.(0) <- 1;
+  mont_mul m minv acc unit t acc;
+  normalize acc
+
+(* Square-and-multiply with a division after every product: the only
+   path for even moduli, which have no Montgomery form. *)
+let modpow_plain b e m =
+  let result = ref one in
+  let b = ref (rem b m) in
+  let nbits = bits e in
+  for i = 0 to nbits - 1 do
+    if bit e i = 1 then result := rem (mul !result !b) m;
+    if i < nbits - 1 then b := rem (mul !b !b) m
+  done;
+  !result
+
+let modpow b e = function
+  | Odd { m; _ } when equal m one -> zero
+  | Odd _ when is_zero e -> one
+  | Odd { m; minv; r2 } -> modpow_mont m minv r2 b e
+  | Even m -> modpow_plain b e m
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
@@ -344,8 +472,9 @@ let is_probable_prime prng ?(rounds = 20) n =
     let n1 = sub n one in
     let rec split d r = if is_even d then split (shift_right d 1) (r + 1) else (d, r) in
     let d, r = split n1 0 in
+    let nm = modulus n in
     let witness a =
-      let x = ref (modpow a d n) in
+      let x = ref (modpow a d nm) in
       if equal !x one || equal !x n1 then false
       else begin
         let composite = ref true in
@@ -380,13 +509,24 @@ let generate_prime prng ~bits:nbits =
   in
   go ()
 
+(* Both codecs stream bits through an accumulator that never holds more
+   than one limb plus one byte, packing or unpacking in a single pass. *)
 let of_bytes_be b =
-  let n = Bytes.length b in
-  let v = ref zero in
-  for i = 0 to n - 1 do
-    v := add (shift_left !v 8) (of_int (Char.code (Bytes.get b i)))
+  let len = Bytes.length b in
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nbits = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (Bytes.get b i) lsl !nbits);
+    nbits := !nbits + 8;
+    if !nbits >= limb_bits then begin
+      r.(!k) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      nbits := !nbits - limb_bits;
+      incr k
+    end
   done;
-  !v
+  if !nbits > 0 then r.(!k) <- !acc;
+  normalize r
 
 let to_bytes_be ?size a =
   let nbytes = max 1 ((bits a + 7) / 8) in
@@ -398,14 +538,20 @@ let to_bytes_be ?size a =
         else s
   in
   let b = Bytes.make total '\000' in
-  let v = ref a in
-  let i = ref (total - 1) in
-  while not (is_zero !v) do
-    let q, r = divmod_small !v 256 in
-    Bytes.set b !i (Char.chr r);
-    v := q;
-    decr i
-  done;
+  let acc = ref 0 and nbits = ref 0 and pos = ref (total - 1) in
+  Array.iter
+    (fun limb ->
+      acc := !acc lor (limb lsl !nbits);
+      nbits := !nbits + limb_bits;
+      while !nbits >= 8 do
+        (* The top limb's high zero bits may run past the first byte. *)
+        if !pos >= 0 then Bytes.set b !pos (Char.chr (!acc land 0xff));
+        acc := !acc lsr 8;
+        nbits := !nbits - 8;
+        decr pos
+      done)
+    a;
+  if !nbits > 0 && !pos >= 0 then Bytes.set b !pos (Char.chr !acc);
   b
 
 let of_string s =
@@ -434,13 +580,19 @@ let to_string a =
     String.concat "" (go a [])
   end
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex a =
   if is_zero a then "0"
   else begin
     let b = to_bytes_be a in
-    let buf = Buffer.create (2 * Bytes.length b) in
-    Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
-    let s = Buffer.contents buf in
+    let s =
+      String.init
+        (2 * Bytes.length b)
+        (fun i ->
+          let c = Char.code (Bytes.get b (i / 2)) in
+          hex_digits.[if i land 1 = 0 then c lsr 4 else c land 0xf])
+    in
     (* Strip one possible leading zero nibble for a canonical form. *)
     if String.length s > 1 && s.[0] = '0' then String.sub s 1 (String.length s - 1) else s
   end

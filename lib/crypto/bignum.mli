@@ -1,8 +1,9 @@
 (** Arbitrary-precision natural numbers.
 
-    Little-endian arrays of 26-bit limbs; all products of two limbs and the
-    intermediate values of Knuth's algorithm D fit comfortably in OCaml's
-    63-bit native integers.  Only naturals are exposed — the RSA layer
+    Little-endian arrays of 26-bit limbs; all products of two limbs, the
+    intermediate values of Knuth's algorithm D and the sums of a
+    Montgomery multiplication fit comfortably in OCaml's 63-bit native
+    integers.  Only naturals are exposed — the RSA layer
     never needs negative numbers (the signed arithmetic required by the
     extended Euclid algorithm is internal to {!modinv}). *)
 
@@ -40,8 +41,20 @@ val divmod : t -> t -> t * t
 val rem : t -> t -> t
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
-val modpow : t -> t -> t -> t
-(** [modpow b e m] is [b^e mod m].  @raise Division_by_zero if [m] is 0. *)
+type modulus
+(** A modulus prepared for exponentiation.  An odd one carries its
+    Montgomery constants (-m{^-1} mod 2{^26}, R{^2} mod m), computed once
+    so that a key can keep them next to its modulus.  Immutable: one
+    value may be shared freely. *)
+
+val modulus : t -> modulus
+(** @raise Division_by_zero if the modulus is 0. *)
+
+val modpow : t -> t -> modulus -> t
+(** [modpow b e (modulus m)] is [b^e mod m], for any base (also [b >= m]).
+    Odd moduli use Montgomery multiplication, with a fixed 4-bit window
+    for exponents over 64 bits; even moduli, which Montgomery cannot
+    take, fall back to square-and-multiply. *)
 
 val gcd : t -> t -> t
 

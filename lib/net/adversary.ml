@@ -187,7 +187,7 @@ let react t ~from payload =
   match payload with
   | Message.Ack -> []
   | Message.Query _ | Message.Answer _ | Message.Deny _
-  | Message.Disclosure _ | Message.Batch _ | Message.Raw _ | Message.Tquery _
+  | Message.Disclosure _ | Message.Raw _ | Message.Tquery _
   | Message.Tanswer _ | Message.Tprobe _ | Message.Tstat _
   | Message.Tcomplete _ | Message.Cancel _ ->
       charge t

@@ -11,10 +11,6 @@ type t = {
   payload : Message.payload;
 }
 
-let compare_delivery a b =
-  let c = Int.compare a.deliver_at b.deliver_at in
-  if c <> 0 then c else Int.compare a.id b.id
-
 let summary e =
   Printf.sprintf "#%d/%d %s -> %s @%d%s%s: %s" e.id e.seq e.from_ e.target
     e.deliver_at

@@ -3,10 +3,10 @@
     The network wraps every posted payload in an envelope carrying a
     process-unique message id (shared by duplicated copies, so receivers
     can deduplicate), a per-link sequence number, the retransmission
-    attempt, and the simulated-clock send and delivery times.  Queued
-    engines order deliveries by {!compare_delivery}: delivery time first,
-    then id — which degenerates to FIFO when no extra delays are
-    injected. *)
+    attempt, and the simulated-clock send and delivery times.  The
+    reactor delivers by delivery time first, then id — which degenerates
+    to FIFO when no extra delays are injected — and keeps each copy of a
+    duplicated send apart. *)
 
 type t = {
   id : int;  (** unique per original send; duplicate copies share it *)
@@ -29,9 +29,6 @@ type t = {
           off. *)
   payload : Message.payload;
 }
-
-val compare_delivery : t -> t -> int
-(** Order by [deliver_at], ties broken by [id] (post order). *)
 
 val summary : t -> string
 (** One-line rendering for tracer events and logs.  The incarnation is

@@ -20,7 +20,6 @@ type payload =
       certs : Peertrust_crypto.Cert.t list;
       rules : Rule.t list;
     }
-  | Batch of payload list
   | Ack
   | Raw of string
   | Tquery of { goal : Literal.t; path : table_ref list }
@@ -30,16 +29,13 @@ type payload =
   | Tcomplete of { leader : table_ref; epoch : int; members : table_ref list }
   | Cancel of { goal : Literal.t }
 
-let rec kind = function
+let kind = function
   | Query _ -> Stats.Query
   | Answer _ -> Stats.Answer
   | Deny _ -> Stats.Deny
   | Disclosure _ -> Stats.Disclosure
   | Tquery _ | Tanswer _ | Tprobe _ | Tstat _ | Tcomplete _ -> Stats.Tabling
-  (* A batch is one envelope; classify it by its first payload (in
-     practice batches carry only queries). *)
-  | Batch (p :: _) -> kind p
-  | Batch [] | Ack | Raw _ | Cancel _ -> Stats.Other
+  | Ack | Raw _ | Cancel _ -> Stats.Other
 
 let cert_size (c : Peertrust_crypto.Cert.t) =
   String.length (Peertrust_crypto.Cert.payload c)
@@ -51,7 +47,7 @@ let cert_size (c : Peertrust_crypto.Cert.t) =
 let literal_size l = String.length (Literal.to_string l)
 let rule_size r = String.length (Rule.to_string r)
 
-let rec size = function
+let size = function
   | Query { goal } -> 8 + literal_size goal
   | Answer { goal; instances; certs } ->
       8 + literal_size goal
@@ -66,7 +62,6 @@ let rec size = function
       8
       + List.fold_left (fun acc c -> acc + cert_size c) 0 certs
       + List.fold_left (fun acc r -> acc + rule_size r) 0 rules
-  | Batch payloads -> 8 + List.fold_left (fun acc p -> acc + size p) 0 payloads
   | Ack -> 8
   | Raw s -> 8 + String.length s
   | Tquery { goal; path } -> 8 + literal_size goal + (List.length path * 12)
@@ -82,14 +77,12 @@ let rec size = function
           0 entries
   | Cancel { goal } -> 8 + literal_size goal
 
-let rec cert_count = function
+let cert_count = function
   | Query _ | Deny _ | Ack | Raw _ | Cancel _ -> 0
   | Tquery _ | Tanswer _ | Tprobe _ | Tstat _ | Tcomplete _ -> 0
   | Answer { certs; _ } | Disclosure { certs; _ } -> List.length certs
-  | Batch payloads ->
-      List.fold_left (fun acc p -> acc + cert_count p) 0 payloads
 
-let rec summary = function
+let summary = function
   | Query { goal } -> Printf.sprintf "query %s" (Literal.to_string goal)
   | Answer { goal; instances; certs } ->
       Printf.sprintf "answer %s: %d instance(s), %d cert(s)"
@@ -99,9 +92,6 @@ let rec summary = function
   | Disclosure { certs; rules } ->
       Printf.sprintf "disclose %d cert(s), %d rule(s)" (List.length certs)
         (List.length rules)
-  | Batch payloads ->
-      Printf.sprintf "batch(%d): %s" (List.length payloads)
-        (String.concat "; " (List.map summary payloads))
   | Ack -> "ack"
   | Raw s -> Printf.sprintf "raw %d byte(s)" (String.length s)
   | Tquery { goal; path } ->

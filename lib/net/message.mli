@@ -37,10 +37,6 @@ type payload =
       certs : Peertrust_crypto.Cert.t list;
       rules : Rule.t list;
     }  (** unsolicited push of unlocked resources (eager strategy) *)
-  | Batch of payload list
-      (** several same-tick payloads to one peer coalesced into a single
-          envelope (the reactor's sub-query batching); pays one envelope
-          of transport accounting for the whole group *)
   | Ack
   | Raw of string
       (** an uninterpreted byte string — honest peers never send one; the

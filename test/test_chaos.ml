@@ -222,6 +222,23 @@ let test_duplicates_are_idempotent () =
   Alcotest.(check bool) "duplicate deliveries deduplicated" true
     (Pobs.Registry.counter_value snapshot "reactor.dup_deliveries" > 0)
 
+let test_every_duplicate_delivered () =
+  (* Copy 0 delayed by one link latency lands on the same tick as an
+     undelayed copy 1 of the same post; both must reach the receiver,
+     so on a crash-free run whose dedup rings never evict, every
+     duplicate the network made is one deduplicated delivery. *)
+  Pobs.Obs.reset_metrics ();
+  let faults = Net.Faults.create ~duplicate:0.5 ~delay:0.5 ~delay_max:1 ~seed:1L () in
+  let outcome, _, _, _ = run_s1 ~faults () in
+  Alcotest.(check bool) "still granted" true (granted outcome);
+  let snapshot = Pobs.Obs.snapshot () in
+  let count = Pobs.Registry.counter_value snapshot in
+  Alcotest.(check int) "no crashes" 0 (count "reactor.crashes");
+  Alcotest.(check int) "no dedup evictions" 0 (count "reactor.dedup_evictions");
+  Alcotest.(check bool) "duplicates made" true (count "net.duplicates" > 0);
+  Alcotest.(check int) "every duplicate delivered" (count "net.duplicates")
+    (count "reactor.dup_deliveries")
+
 (* ------------------------------------------------------------------ *)
 (* Answer cache under chaos: across 100 fault seeds (50 per scenario),
    a run with a cold cache must be byte-identical to a cache-off run of
@@ -804,6 +821,7 @@ let () =
           tc "outage rides out on retries" test_outage_recovers_with_retries;
           tc "black hole times out" test_black_hole_times_out;
           tc "duplicates are idempotent" test_duplicates_are_idempotent;
+          tc "every duplicate delivered" test_every_duplicate_delivered;
         ] );
       ( "adversaries",
         [

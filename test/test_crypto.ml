@@ -107,7 +107,7 @@ let test_bignum_div_by_zero () =
       ignore (Bignum.divmod Bignum.one Bignum.zero))
 
 let test_bignum_modpow_small () =
-  let m = Bignum.of_int 1000000007 in
+  let m = Bignum.modulus (Bignum.of_int 1000000007) in
   Alcotest.(check bn) "3^0" Bignum.one (Bignum.modpow (Bignum.of_int 3) Bignum.zero m);
   Alcotest.(check bn) "3^4 mod p" (Bignum.of_int 81)
     (Bignum.modpow (Bignum.of_int 3) (Bignum.of_int 4) m);
@@ -230,7 +230,8 @@ let prop_modpow_matches_naive =
       let rec naive acc k = if k = 0 then acc else naive (acc * b mod m) (k - 1) in
       Bignum.equal
         (Bignum.of_int (naive 1 e))
-        (Bignum.modpow (Bignum.of_int b) (Bignum.of_int e) (Bignum.of_int m)))
+        (Bignum.modpow (Bignum.of_int b) (Bignum.of_int e)
+           (Bignum.modulus (Bignum.of_int m))))
 
 let bignum_properties =
   List.map QCheck_alcotest.to_alcotest
@@ -453,7 +454,8 @@ let test_bignum_misc_edges () =
     (Invalid_argument "Bignum.of_int: negative") (fun () ->
       ignore (Bignum.of_int (-1)));
   Alcotest.(check bn) "modpow with modulus one" Bignum.zero
-    (Bignum.modpow (Bignum.of_int 5) (Bignum.of_int 3) Bignum.one);
+    (Bignum.modpow (Bignum.of_int 5) (Bignum.of_int 3)
+       (Bignum.modulus Bignum.one));
   Alcotest.(check (option int)) "to_int_opt overflow" None
     (Bignum.to_int_opt (Bignum.shift_left Bignum.one 80));
   Alcotest.(check string) "hex of zero" "0" (Bignum.to_hex Bignum.zero)
@@ -556,6 +558,86 @@ let test_wire_malformed () =
   expect
     "-----BEGIN PEERTRUST CERTIFICATE-----\nserial: x\n-----END PEERTRUST CERTIFICATE-----\n"
 
+(* ------------------------------------------------------------------ *)
+(* Kernels against the reference arithmetic in Kernel_ref *)
+
+(* Odd and even moduli of one limb and of fifteen (390 bits), and 1. *)
+let kernel_moduli =
+  let fifteen = Bignum.shift_left Bignum.one 389 in
+  [
+    Bignum.of_int 1_000_003;
+    Bignum.of_int 1_000_000;
+    Bignum.add fifteen (Bignum.of_int 0x2f3b5);
+    Bignum.add fifteen (Bignum.of_int 0x2f3b4);
+    Bignum.one;
+  ]
+
+let test_modpow_reference () =
+  let long_e = Bignum.sub (Bignum.shift_left Bignum.one 300) (Bignum.of_int 12345) in
+  List.iter
+    (fun m ->
+      let md = Bignum.modulus m in
+      let bases =
+        [
+          Bignum.zero;
+          Bignum.one;
+          Bignum.of_int 7;
+          m;
+          Bignum.add m Bignum.one;
+          Bignum.add (Bignum.mul m (Bignum.of_int 3)) (Bignum.of_int 7);
+          Bignum.mul m m;
+        ]
+      in
+      let exps = [ Bignum.zero; Bignum.one; Bignum.two; Bignum.of_int 65537; long_e ] in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun e ->
+              Alcotest.(check bn)
+                (Printf.sprintf "%s^%s mod %s" (Bignum.to_hex b) (Bignum.to_hex e)
+                   (Bignum.to_hex m))
+                (Kernel_ref.modpow b e m) (Bignum.modpow b e md))
+            exps)
+        bases)
+    kernel_moduli
+
+let test_rsa_crt_matches_reference () =
+  List.iter
+    (fun kp ->
+      List.iter
+        (fun msg ->
+          let pub = kp.Rsa.public in
+          Alcotest.(check bn) msg
+            (Kernel_ref.modpow (Kernel_ref.pad pub msg) kp.Rsa.d pub.Rsa.n)
+            (Rsa.sign kp msg))
+        [ ""; "msg"; "student(\"Alice\") @ \"UIUC\"" ])
+    [ Lazy.force shared_keypair; Rsa.generate (Prng.create 2004L) ]
+
+let test_bytes_leading_zeros () =
+  let b = Bytes.of_string "\000\000\001\002" in
+  Alcotest.(check bn) "value" (Bignum.of_int 258) (Bignum.of_bytes_be b);
+  Alcotest.(check bytes) "sized" b (Bignum.to_bytes_be ~size:4 (Bignum.of_int 258));
+  Alcotest.(check bytes) "minimal" (Bytes.of_string "\001\002")
+    (Bignum.to_bytes_be (Bignum.of_int 258));
+  Alcotest.(check bn) "empty" Bignum.zero (Bignum.of_bytes_be Bytes.empty);
+  Alcotest.(check bytes) "zero" (Bytes.of_string "\000") (Bignum.to_bytes_be Bignum.zero)
+
+(* Keys and signatures are byte-identical to those of the textbook
+   kernels (plain square-and-multiply, no CRT) these replaced. *)
+let test_kernel_pins () =
+  let ks = Keystore.create ~seed:2004L () in
+  Alcotest.(check string) "modulus"
+    "49cf264a8b968c4095e44f047439a0f0d2b217d9bd70d37437efe30648709076ea61b7bf5147525987241edfa7a2c9af"
+    (Bignum.to_hex (Keystore.public ks "UIUC").Rsa.n);
+  let rule = parse_rule {|student("Alice") @ "UIUC" signedBy ["UIUC"].|} in
+  match Cert.issue ks ~not_after:500 rule with
+  | Ok { Cert.signatures = [ ("UIUC", s) ]; _ } ->
+      Alcotest.(check string) "signature"
+        "232dc808e49c20f21d9358f0f96d7b5e55ddd15a001bca105a37e1ae11c0d0503e0cfe51fe1fab25e5a8b1a3d1b9aeab"
+        (Bignum.to_hex s)
+  | Ok _ -> Alcotest.fail "expected one signature"
+  | Error e -> Alcotest.failf "issue failed: %a" Cert.pp_error e
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "crypto"
@@ -588,6 +670,13 @@ let () =
           tc "miscellaneous edges" test_bignum_misc_edges;
         ] );
       ("bignum properties", bignum_properties);
+      ( "kernels",
+        [
+          tc "modpow matches reference" test_modpow_reference;
+          tc "CRT signing matches reference" test_rsa_crt_matches_reference;
+          tc "bytes with leading zeros" test_bytes_leading_zeros;
+          tc "byte-identical keys and signatures" test_kernel_pins;
+        ] );
       ( "sha256",
         [
           tc "FIPS vectors" test_sha256_vectors;

@@ -618,6 +618,59 @@ let prop_cert_roundtrip =
       | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Crypto kernels against the reference arithmetic in Kernel_ref *)
+
+(* A modulus of one limb or of fifteen, odd or even (1 included), a base
+   of up to twice the modulus's bits (so often >= m), and an exponent of
+   0, 1, a short one (binary ladder) or a long one (4-bit window). *)
+let arb_modpow =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (b, e, m) ->
+      Printf.sprintf "b=%s e=%s m=%s" (Crypto.Bignum.to_hex b)
+        (Crypto.Bignum.to_hex e) (Crypto.Bignum.to_hex m))
+    (let* seed = int in
+     let* mbits = oneof [ int_range 1 26; int_range 365 390 ] in
+     let* odd = bool in
+     let* bbits = int_range 0 ((2 * mbits) + 8) in
+     let* ebits = oneof [ return 0; return 1; int_range 2 64; int_range 65 400 ] in
+     let prng = Crypto.Prng.create (Int64.of_int seed) in
+     let nat bits =
+       if bits = 0 then Crypto.Bignum.zero else Crypto.Bignum.random_bits prng bits
+     in
+     let m = nat mbits in
+     let m = if Crypto.Bignum.is_even m = odd then Crypto.Bignum.add m Crypto.Bignum.one else m in
+     return (nat bbits, nat ebits, m))
+
+let prop_modpow_reference =
+  QCheck.Test.make ~name:"bignum: modpow matches square-and-multiply"
+    ~count:(scale 200) arb_modpow (fun (b, e, m) ->
+      Crypto.Bignum.equal (Kernel_ref.modpow b e m)
+        (Crypto.Bignum.modpow b e (Crypto.Bignum.modulus m)))
+
+let prop_crt_sign_reference =
+  QCheck.Test.make ~name:"rsa: CRT signature is pad(msg)^d mod n"
+    ~count:(scale 15)
+    QCheck.(triple int (int_range 288 416) small_printable_string)
+    (fun (seed, bits, msg) ->
+      let kp = Crypto.Rsa.generate ~bits (Crypto.Prng.create (Int64.of_int seed)) in
+      let pub = kp.Crypto.Rsa.public in
+      Crypto.Bignum.equal
+        (Kernel_ref.modpow (Kernel_ref.pad pub msg) kp.Crypto.Rsa.d pub.Crypto.Rsa.n)
+        (Crypto.Rsa.sign kp msg))
+
+let prop_bytes_codec =
+  QCheck.Test.make ~name:"bignum: byte codecs round-trip with leading zeros"
+    ~count:(scale 300)
+    QCheck.(pair (int_range 0 4) (string_of_size Gen.(int_range 0 64)))
+    (fun (zeros, s) ->
+      let s = String.make zeros '\000' ^ s in
+      let v = Crypto.Bignum.of_bytes_be (Bytes.of_string s) in
+      Crypto.Bignum.equal v (Kernel_ref.of_bytes s)
+      && (s = ""
+         || Bytes.to_string (Crypto.Bignum.to_bytes_be ~size:(String.length s) v) = s))
+
+(* ------------------------------------------------------------------ *)
 (* Robustness: parsers fail only with their documented exceptions *)
 
 let arb_junk =
@@ -1303,7 +1356,13 @@ let () =
           ] );
       ( "crypto",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_cert_roundtrip; prop_wire_roundtrip ] );
+          [
+            prop_cert_roundtrip;
+            prop_wire_roundtrip;
+            prop_modpow_reference;
+            prop_crt_sign_reference;
+            prop_bytes_codec;
+          ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
           [
