@@ -1356,8 +1356,13 @@ let edge_kb n =
   in
   go 1 (Dlp.Kb.add hop Dlp.Kb.empty)
 
-(* Median wall time and mean words allocated of [runs] executions. *)
+(* Median wall time and mean words allocated of [runs] executions.
+   [Gc.allocated_bytes] counts minor-heap words only up to the last
+   minor collection (OCaml 5), so a window read without one can be off by
+   most of a minor heap, depending on where collections happen to fall.
+   A minor collection at each end makes the count exact. *)
 let time_alloc ?(runs = 5) f =
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let samples =
     List.init runs (fun _ ->
@@ -1365,6 +1370,7 @@ let time_alloc ?(runs = 5) f =
         f ();
         wall_s () -. t0)
   in
+  Gc.minor ();
   let words =
     (Gc.allocated_bytes () -. before)
     /. float_of_int runs

@@ -735,7 +735,9 @@ let negotiate_cmd =
       value
       & opt (some string) None
       & info [ "save-world" ] ~docv:"DIR"
-          ~doc:"Save the post-negotiation world (programs + wallets) here.")
+          ~doc:
+            "Save the post-negotiation world here: per peer, its program \
+             (.pt) and its journal (.journal), which holds its wallet.")
   in
   let wallet =
     Arg.(

@@ -104,7 +104,8 @@ fi
 # reference resolver; their metrics must stay inside the per-metric
 # tolerance bands of the committed seed baseline, and the diff tool must
 # catch an injected 2x inflation (self-test).  The artifact goes to the
-# scratch dir so the committed full-scale BENCH_resolution.json survives.
+# scratch dir, like every artifact of this gate, so the repository root
+# holds only committed baselines.
 ./_build/default/bench/main.exe resolution --smoke \
   --metrics-dir "$bench_dir" > /dev/null
 # The million-fact workloads (scaled down under --smoke) must have

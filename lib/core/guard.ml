@@ -156,7 +156,6 @@ let check t st ~now ~solicited payload =
   if size > cfg.max_bytes then Reject (Oversized size)
   else
     match payload with
-    | Net.Message.Ack -> Admit
     | Net.Message.Raw s -> (
         (* Honest peers never put raw bytes on the wire; the only
            charitable reading is a certificate blob, so attempt a decode

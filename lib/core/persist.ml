@@ -2,23 +2,6 @@ module Crypto = Peertrust_crypto
 
 type error = Bad_world of string
 
-let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
-
-let string_of_hex h =
-  if String.length h mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init
-           (String.length h / 2)
-           (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
-    with Failure _ | Invalid_argument _ -> None
-
 (* Crash-atomic: a reader never observes a half-written file.  The
    contents land in a sibling temp file first; the final [Sys.rename]
    is atomic on POSIX, so a crash between the two leaves either the old
@@ -38,127 +21,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let magic = "peertrust-world 1"
-
-let save session ~dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let peers =
-    Hashtbl.fold (fun name peer acc -> (name, peer) :: acc)
-      session.Session.peers []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let meta = Buffer.create 256 in
-  Buffer.add_string meta magic;
-  Buffer.add_char meta '\n';
-  List.iteri
-    (fun i (name, (peer : Peer.t)) ->
-      Buffer.add_string meta (Printf.sprintf "peer: %d %s\n" i (hex_of_string name));
-      write_file
-        (Filename.concat dir (Printf.sprintf "peer%d.pt" i))
-        (Peertrust_dlp.Program.to_string (Peertrust_dlp.Kb.rules peer.Peer.kb));
-      let certs = Hashtbl.fold (fun _ c acc -> c :: acc) peer.Peer.certs [] in
-      write_file
-        (Filename.concat dir (Printf.sprintf "peer%d.wallet" i))
-        (Crypto.Wire.encode_many certs))
-    peers;
-  write_file (Filename.concat dir "world.meta") (Buffer.contents meta)
-
-(* Loading must survive a corrupt world directory: a truncated meta
-   file, garbage rule or wallet files, unreadable entries — every
-   failure is a structured [Bad_world] naming the file and (where a
-   parser is involved) the offending line, never an exception. *)
-let load ?config ?seed ~dir () =
-  let meta_path = Filename.concat dir "world.meta" in
-  if not (Sys.file_exists meta_path) then
-    Error (Bad_world "missing world.meta")
-  else begin
-    match read_file meta_path with
-    | exception Sys_error m -> Error (Bad_world m)
-    | exception End_of_file ->
-        Error (Bad_world "world.meta: truncated file")
-    | meta_contents -> (
-    match String.split_on_char '\n' meta_contents with
-    | first :: rest when String.equal (String.trim first) magic -> (
-        let parse_line lineno line =
-          let line = String.trim line in
-          let err msg =
-            Error (Bad_world (Printf.sprintf "world.meta line %d: %s" lineno msg))
-          in
-          if line = "" then Ok None
-          else if String.length line > 6 && String.sub line 0 6 = "peer: " then begin
-            let payload = String.sub line 6 (String.length line - 6) in
-            match String.index_opt payload ' ' with
-            | None -> err ("bad index line: " ^ line)
-            | Some i -> (
-                let idx = String.sub payload 0 i in
-                let name_hex =
-                  String.sub payload (i + 1) (String.length payload - i - 1)
-                in
-                match (int_of_string_opt idx, string_of_hex name_hex) with
-                | Some idx, Some name -> Ok (Some (idx, name))
-                | _, _ -> err ("bad index line: " ^ line))
-          end
-          else err ("unrecognised line: " ^ line)
-        in
-        let rec collect acc lineno = function
-          | [] -> Ok (List.rev acc)
-          | line :: rest -> (
-              match parse_line lineno line with
-              | Ok None -> collect acc (lineno + 1) rest
-              | Ok (Some entry) -> collect (entry :: acc) (lineno + 1) rest
-              | Error e -> Error e)
-        in
-        (* The magic header is line 1; entries start on line 2. *)
-        match collect [] 2 rest with
-        | Error e -> Error e
-        | Ok entries -> (
-            let session = Session.create ?config ?seed () in
-            let load_peer (idx, name) =
-              let program_path =
-                Filename.concat dir (Printf.sprintf "peer%d.pt" idx)
-              in
-              if not (Sys.file_exists program_path) then
-                Error (Bad_world (Printf.sprintf "missing peer%d.pt" idx))
-              else begin
-                match
-                  Session.add_peer session ~program:(read_file program_path)
-                    name
-                with
-                | exception Sys_error m -> Error (Bad_world m)
-                | exception Peertrust_dlp.Parser.Error (m, l, _) ->
-                    Error
-                      (Bad_world
-                         (Printf.sprintf "peer%d.pt line %d: %s" idx l m))
-                | peer -> (
-                    let wallet_path =
-                      Filename.concat dir (Printf.sprintf "peer%d.wallet" idx)
-                    in
-                    if not (Sys.file_exists wallet_path) then Ok ()
-                    else
-                      match Crypto.Wire.decode_many (read_file wallet_path) with
-                      | exception Sys_error m -> Error (Bad_world m)
-                      | Ok certs ->
-                          List.iter (Peer.add_cert peer) certs;
-                          Ok ()
-                      | Error (Crypto.Wire.Malformed m) ->
-                          Error
-                            (Bad_world
-                               (Printf.sprintf "peer%d.wallet: %s" idx m)))
-              end
-            in
-            let rec load_all = function
-              | [] -> Ok ()
-              | entry :: rest -> (
-                  match load_peer entry with
-                  | Ok () -> load_all rest
-                  | Error e -> Error e)
-            in
-            match load_all entries with
-            | Error e -> Error e
-            | Ok () -> Ok session))
-    | _ -> Error (Bad_world "world.meta line 1: bad magic line"))
-  end
 
 let pp_error fmt (Bad_world msg) = Format.fprintf fmt "bad world: %s" msg
 
@@ -184,7 +46,7 @@ module Journal = struct
 
   let for_peer ~dir ~peer =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    on_disk (Filename.concat dir (hex_of_string peer ^ ".journal"))
+    on_disk (Filename.concat dir (Crypto.Hex.encode peer ^ ".journal"))
 
   let appends t = t.appends
 
@@ -192,25 +54,25 @@ module Journal = struct
      text) is hex-armoured so newlines and spaces in the payload cannot
      break the line discipline the torn-tail recovery depends on. *)
   let line_of_entry = function
-    | Cert c -> "cert " ^ hex_of_string (Crypto.Wire.encode c)
-    | Fact r -> "fact " ^ hex_of_string (Dlp.Rule.to_string r)
+    | Cert c -> "cert " ^ Crypto.Hex.encode (Crypto.Wire.encode c)
+    | Fact r -> "fact " ^ Crypto.Hex.encode (Dlp.Rule.to_string r)
     | Answer { owner; goal; instances } ->
-        Printf.sprintf "answer %s %s %s" (hex_of_string owner)
-          (hex_of_string (Dlp.Literal.to_string goal))
+        Printf.sprintf "answer %s %s %s" (Crypto.Hex.encode owner)
+          (Crypto.Hex.encode (Dlp.Literal.to_string goal))
           (match instances with
           | [] -> "-"
           | is ->
               String.concat ","
                 (List.map
-                   (fun i -> hex_of_string (Dlp.Literal.to_string i))
+                   (fun i -> Crypto.Hex.encode (Dlp.Literal.to_string i))
                    is))
     | Goal { id; target; goal } ->
-        Printf.sprintf "goal %d %s %s" id (hex_of_string target)
-          (hex_of_string (Dlp.Literal.to_string goal))
+        Printf.sprintf "goal %d %s %s" id (Crypto.Hex.encode target)
+          (Crypto.Hex.encode (Dlp.Literal.to_string goal))
     | Done { id } -> Printf.sprintf "done %d" id
 
   let literal_of_hex h =
-    match string_of_hex h with
+    match Crypto.Hex.decode h with
     | None -> Error "bad hex"
     | Some s -> (
         match Dlp.Parser.parse_literal s with
@@ -222,14 +84,14 @@ module Journal = struct
     let ( let* ) = Result.bind in
     match String.split_on_char ' ' line with
     | [ "cert"; hex ] -> (
-        match string_of_hex hex with
+        match Crypto.Hex.decode hex with
         | None -> Error "cert: bad hex"
         | Some blob -> (
             match Crypto.Wire.decode blob with
             | Ok c -> Ok (Cert c)
             | Error (Crypto.Wire.Malformed m) -> Error ("cert: " ^ m)))
     | [ "fact"; hex ] -> (
-        match string_of_hex hex with
+        match Crypto.Hex.decode hex with
         | None -> Error "fact: bad hex"
         | Some text -> (
             match Dlp.Parser.parse_rule text with
@@ -237,7 +99,7 @@ module Journal = struct
             | exception Dlp.Parser.Error (m, _, _) -> Error ("fact: " ^ m)
             | exception _ -> Error "fact: unparseable rule"))
     | [ "answer"; owner_hex; goal_hex; insts ] -> (
-        match string_of_hex owner_hex with
+        match Crypto.Hex.decode owner_hex with
         | None -> Error "answer: bad owner hex"
         | Some owner ->
             let* goal =
@@ -260,7 +122,7 @@ module Journal = struct
             in
             Ok (Answer { owner; goal; instances }))
     | [ "goal"; id; target_hex; goal_hex ] -> (
-        match (int_of_string_opt id, string_of_hex target_hex) with
+        match (int_of_string_opt id, Crypto.Hex.decode target_hex) with
         | Some id, Some target ->
             let* goal =
               Result.map_error (fun m -> "goal: " ^ m)
@@ -374,3 +236,85 @@ module Journal = struct
         | Answer _ | Goal _ | Done _ -> ())
       entries
 end
+
+(* A world directory holds, per peer, [<hex name>.pt] (the program)
+   and [<hex name>.journal] (the wallet, one [Cert] entry per
+   certificate). *)
+let save session ~dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let stems = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun name (peer : Peer.t) ->
+      let stem = Crypto.Hex.encode name in
+      Hashtbl.replace stems stem ();
+      write_file
+        (Filename.concat dir (stem ^ ".pt"))
+        (Peertrust_dlp.Program.to_string (Peertrust_dlp.Kb.rules peer.Peer.kb));
+      Journal.rewrite
+        (Journal.for_peer ~dir ~peer:name)
+        (Hashtbl.fold (fun _ c acc -> Journal.Cert c :: acc) peer.Peer.certs []))
+    session.Session.peers;
+  (* Saving over an older world must not bring its other peers back. *)
+  Array.iter
+    (fun file ->
+      let stale suffix =
+        match Filename.chop_suffix_opt ~suffix file with
+        | Some stem -> not (Hashtbl.mem stems stem)
+        | None -> false
+      in
+      if stale ".pt" || stale ".journal" then
+        Sys.remove (Filename.concat dir file))
+    (Sys.readdir dir)
+
+(* Total over a corrupt directory: every failure is a [Bad_world]
+   naming the file and, where a parser is involved, the line. *)
+let load ?config ?seed ~dir () =
+  let ( let* ) = Result.bind in
+  let bad fmt = Printf.ksprintf (fun m -> Error (Bad_world m)) fmt in
+  let rec each f = function
+    | [] -> Ok ()
+    | x :: rest ->
+        let* () = f x in
+        each f rest
+  in
+  match Sys.readdir dir with
+  | exception Sys_error m -> Error (Bad_world m)
+  | files ->
+      (* Sorted hex stems are sorted names: peers load in name order. *)
+      let files = List.sort String.compare (Array.to_list files) in
+      let stems suffix =
+        List.filter_map (Filename.chop_suffix_opt ~suffix) files
+      in
+      let programs = stems ".pt" in
+      let* () =
+        each
+          (fun stem ->
+            if List.mem stem programs then Ok ()
+            else bad "%s.journal: no program %s.pt beside it" stem stem)
+          (stems ".journal")
+      in
+      if programs = [] then bad "%s: no peer program (*.pt)" dir
+      else begin
+        let session = Session.create ?config ?seed () in
+        let load_peer stem =
+          let file = stem ^ ".pt" in
+          match Crypto.Hex.decode stem with
+          | None -> bad "%s: file name is not a hex-encoded peer name" file
+          | Some name -> (
+              match
+                Session.add_peer session
+                  ~program:(read_file (Filename.concat dir file))
+                  name
+              with
+              | exception Sys_error m -> Error (Bad_world m)
+              | exception Peertrust_dlp.Parser.Error (m, l, _) ->
+                  bad "%s line %d: %s" file l m
+              | peer -> (
+                  match Journal.entries (Journal.for_peer ~dir ~peer:name) with
+                  | exception Sys_error m -> Error (Bad_world m)
+                  | Ok entries -> Ok (Journal.replay_peer peer entries)
+                  | Error (Bad_world m) -> bad "%s.journal: %s" stem m))
+        in
+        let* () = each load_peer programs in
+        Ok session
+      end

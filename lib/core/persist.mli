@@ -1,43 +1,51 @@
 (** Saving and loading negotiation worlds.
 
-    A world directory holds one policy program and one credential wallet
-    per peer, plus an index:
+    A world directory holds two files per peer, each named by the
+    peer's name in lowercase hex (so any name survives, [""] included):
 
     {v
-      world.meta       index: format version + one line per peer
-      peer0.pt         policy program (pretty-printed knowledge base)
-      peer0.wallet     certificates (Wire format), possibly empty
-      ...
+      <hex name>.pt        policy program (pretty-printed knowledge base)
+      <hex name>.journal   the peer's {!Journal}: one [Cert] entry per
+                           wallet certificate
     v}
 
-    Peer names are hex-encoded in the index so arbitrary names survive.
-    Keys are not stored: the simulated PKI derives them from the session
-    seed, so load a world with the same [seed] it was built with (the
-    default matches {!Session.create}'s default). *)
+    Certificates have one on-disk format, the journal's, and one parser.
+    A world directory is therefore also a valid [Reactor.Journal_dir]:
+    a reactor journalling into it appends to the same files, and {!load}
+    replays whatever they hold.  Keys are not stored: the simulated PKI
+    derives them from the session seed, so load a world with the same
+    [seed] it was built with (the default matches {!Session.create}'s
+    default). *)
 
 type error = Bad_world of string
 
 val save : Session.t -> dir:string -> unit
-(** Write the world; creates [dir] if needed.  Every file lands
-    crash-atomically (temp file + rename), so a crash mid-save leaves
-    the previous world intact rather than a torn one.  @raise Sys_error
-    on I/O problems. *)
+(** Write the world; creates [dir] if needed and removes the [.pt] and
+    [.journal] files of peers the session does not have.  Each file
+    lands crash-atomically (temp file + rename), so a crash mid-save
+    leaves every file either old or new: atomic per file, not per
+    world.  @raise Sys_error on I/O problems. *)
 
 val load :
   ?config:Session.config -> ?seed:int64 -> dir:string -> unit ->
   (Session.t, error) result
-(** Rebuild a session from a world directory: peers, programs, wallets.
-    Total over corrupt input: a missing or truncated
-    index, unreadable files, garbage [.pt]/[.wallet] contents all come
-    back as [Error (Bad_world reason)] — with the reason naming the file
-    and offending line where a parser is involved — never an
-    exception. *)
+(** Rebuild a session from a world directory.  The peers are the [.pt]
+    files, loaded in name order; each program goes through the parser
+    and each journal through {!Journal.entries} and
+    {!Journal.replay_peer}.  Total over corrupt input: an empty
+    directory, a [.pt] whose name is not strict lowercase hex, a journal
+    with no program beside it, a garbage program and journal damage
+    before the last line all come back as [Error (Bad_world reason)]
+    naming the file (and the line, where a parser is involved), never
+    an exception.  A torn last journal line is dropped, as in every
+    journal. *)
 
 val pp_error : Format.formatter -> error -> unit
 
 (** Incremental write-ahead journal backing crash-stop recovery.
 
-    A full {!save} is a checkpoint; between checkpoints a peer appends
+    A full {!save} is a checkpoint: it rewrites each peer's journal to
+    the peer's wallet certificates.  Between checkpoints a peer appends
     one line per durable event — a learned certificate, a learned
     says-fact, a completed table answer, an accepted root goal — and a
     restarting incarnation replays world + journal instead of starting

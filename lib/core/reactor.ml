@@ -51,9 +51,6 @@ type config = {
   (* answer cache consulted before posting a sub-query and filled on
      answer delivery; pass one reactor's cache to the next for the
      shared cross-session mode *)
-  dedup_cap : int;
-  (* capacity of the delivered-envelope-id dedup set; past it the
-     oldest ids are forgotten (counted as reactor.dedup_evictions) *)
   tabling : bool;
   (* route requests through distributed tabling: per-goal tables at the
      owning peer, monotone answer views, SCC completion at quiescence —
@@ -71,7 +68,6 @@ let default_config =
     rto = 8;
     retry_limit = 3;
     cache = None;
-    dedup_cap = 8192;
     tabling = false;
     journal = Journal_off;
   }
@@ -372,9 +368,8 @@ let post ?attempt ?trace t ~from ~target payload =
           enqueue_synthetic ?trace t ~from:target ~target:from
             (Net.Message.Deny { goal; reason = "unreachable" })
       | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
-      | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
-      | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
-      | Net.Message.Cancel _ ->
+      | Net.Message.Raw _ | Net.Message.Tanswer _ | Net.Message.Tprobe _
+      | Net.Message.Tstat _ | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
           Metric.incr m_drops;
           Otracer.event (Obs.tracer ())
             (Printf.sprintf "reactor.drop %s -> %s: %s (unreachable)" from
@@ -948,7 +943,6 @@ let dispatch t ~synthetic (from, target, payload) =
                               "reactor.cancelled %s withdraws %s at %s" from key
                               target)))
             hosts
-      | Net.Message.Ack -> ()
       | Net.Message.Raw _ ->
           (* Garbage on the wire: without a guard there is nothing to do
              with it; the guard layer rejects it before dispatch. *)
@@ -1198,18 +1192,17 @@ let reject_payload t ~from ~target violation payload =
   | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
       post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
   | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
-  | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
-  | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
-  | Net.Message.Cancel _ ->
+  | Net.Message.Raw _ | Net.Message.Tanswer _ | Net.Message.Tprobe _
+  | Net.Message.Tstat _ | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
       ()
 
 (* Inbound traffic for a registered adversary: let it misbehave in
    response. *)
-let dispatch_adversary t adv ~from payload =
+let dispatch_adversary t adv ~from =
   List.iter
     (fun { Net.Adversary.act_target; act_payload } ->
       post t ~from:(Net.Adversary.name adv) ~target:act_target act_payload)
-    (Net.Adversary.react adv ~from payload)
+    (Net.Adversary.react adv ~from)
 
 (* Goal skeleton of a payload, for span attributes. *)
 let payload_goal = function
@@ -1220,16 +1213,19 @@ let payload_goal = function
   | Net.Message.Tanswer { goal; _ }
   | Net.Message.Cancel { goal } ->
       Some (goal_key goal)
-  | Net.Message.Disclosure _ | Net.Message.Ack
-  | Net.Message.Raw _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-  | Net.Message.Tcomplete _ ->
+  | Net.Message.Disclosure _ | Net.Message.Raw _ | Net.Message.Tprobe _
+  | Net.Message.Tstat _ | Net.Message.Tcomplete _ ->
       None
+
+(* Capacity of each peer's delivered-envelope-id dedup set; past it the
+   oldest ids are forgotten (counted as reactor.dedup_evictions). *)
+let dedup_cap = 8192
 
 let ring_of t target =
   match Hashtbl.find_opt t.rings target with
   | Some r -> r
   | None ->
-      let r = Net.Dedup.create ~cap:t.config.dedup_cap in
+      let r = Net.Dedup.create ~cap:dedup_cap in
       Hashtbl.replace t.rings target r;
       r
 
@@ -1287,7 +1283,7 @@ let deliver_envelope t env =
     let tracer = Obs.tracer () in
     let body () =
       match Hashtbl.find_opt t.adversaries target with
-      | Some adv -> dispatch_adversary t adv ~from payload
+      | Some adv -> dispatch_adversary t adv ~from
       | None ->
           (* Synthetic envelopes (ids < 0) are the reactor's own bookkeeping
              — cache replays, timeout/unreachable denials — and bypass the

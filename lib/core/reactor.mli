@@ -151,10 +151,6 @@ type config = {
           cross-session mode.  [None] (the default) disables caching and
           keeps fault-free transcripts byte-identical to the pre-cache
           engine. *)
-  dedup_cap : int;
-      (** capacity of the delivered-envelope-id dedup set; past it the
-          oldest ids are forgotten, counted as
-          [reactor.dedup_evictions] *)
   tabling : bool;
       (** evaluate goals through the distributed {!Tabling} engine: one
           table per goal skeleton at its owning peer, monotone answer
@@ -171,8 +167,8 @@ type config = {
 }
 
 val default_config : config
-(** [{ rto = 8; retry_limit = 3; cache = None; dedup_cap = 8192;
-    tabling = false; journal = Journal_off }] — a sub-query is abandoned
+(** [{ rto = 8; retry_limit = 3; cache = None; tabling = false;
+    journal = Journal_off }] — a sub-query is abandoned
     as timed out after 8 + 16 + 32 + 64 unanswered ticks; caching,
     tabling and journalling are opt-in. *)
 

@@ -580,21 +580,12 @@ let to_string a =
     String.concat "" (go a [])
   end
 
-let hex_digits = "0123456789abcdef"
-
 let to_hex a =
   if is_zero a then "0"
   else begin
-    let b = to_bytes_be a in
-    let s =
-      String.init
-        (2 * Bytes.length b)
-        (fun i ->
-          let c = Char.code (Bytes.get b (i / 2)) in
-          hex_digits.[if i land 1 = 0 then c lsr 4 else c land 0xf])
-    in
+    let s = Hex.encode (Bytes.unsafe_to_string (to_bytes_be a)) in
     (* Strip one possible leading zero nibble for a canonical form. *)
-    if String.length s > 1 && s.[0] = '0' then String.sub s 1 (String.length s - 1) else s
+    if s.[0] = '0' then String.sub s 1 (String.length s - 1) else s
   end
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)

@@ -98,8 +98,4 @@ let digest_bytes msg =
 
 let digest msg = digest_bytes (Bytes.of_string msg)
 
-let hex msg =
-  let d = digest msg in
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+let hex msg = Hex.encode (digest msg)

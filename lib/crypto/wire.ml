@@ -3,21 +3,6 @@ type error = Malformed of string
 let header = "-----BEGIN PEERTRUST CERTIFICATE-----"
 let footer = "-----END PEERTRUST CERTIFICATE-----"
 
-let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let string_of_hex h =
-  if String.length h mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init
-           (String.length h / 2)
-           (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
-    with Failure _ | Invalid_argument _ -> None
-
 let encode (c : Cert.t) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf header;
@@ -30,7 +15,7 @@ let encode (c : Cert.t) =
   List.iter
     (fun (issuer, signature) ->
       Buffer.add_string buf
-        (Printf.sprintf "sig: %s:%s\n" (hex_of_string issuer)
+        (Printf.sprintf "sig: %s:%s\n" (Hex.encode issuer)
            (Bignum.to_hex signature)))
     c.Cert.signatures;
   Buffer.add_string buf footer;
@@ -44,12 +29,16 @@ let parse_field ~name line =
     Some (String.sub line pl (String.length line - pl))
   else None
 
+(* The inverse of [Bignum.to_hex], which writes no leading zero nibble
+   (zero is "0"): a text with one would be a second spelling of the
+   same signature. *)
 let hex_to_bignum h =
-  (* Bignum.to_hex strips a leading zero nibble; re-pad if needed. *)
-  let h = if String.length h mod 2 = 1 then "0" ^ h else h in
-  match string_of_hex h with
-  | Some bytes_str -> Some (Bignum.of_bytes_be (Bytes.of_string bytes_str))
-  | None -> None
+  if h = "" || (h.[0] = '0' && h <> "0") then None
+  else
+    let h = if String.length h land 1 = 1 then "0" ^ h else h in
+    Option.map
+      (fun b -> Bignum.of_bytes_be (Bytes.unsafe_of_string b))
+      (Hex.decode h)
 
 (* Lines travel as [(lineno, content)] pairs so every diagnostic can
    name the offending line of the source text. *)
@@ -101,7 +90,7 @@ let decode_block ~start lines =
                                             (String.length v - i - 1)
                                         in
                                         match
-                                          (string_of_hex name_hex,
+                                          (Hex.decode name_hex,
                                            hex_to_bignum sig_hex)
                                         with
                                         | Some issuer, Some signature ->

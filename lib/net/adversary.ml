@@ -183,13 +183,7 @@ let replays t ~target =
         let a = pool.(Crypto.Prng.next_int t.prng (Array.length pool)) in
         { a with act_target = target })
 
-let react t ~from payload =
-  match payload with
-  | Message.Ack -> []
-  | Message.Query _ | Message.Answer _ | Message.Deny _
-  | Message.Disclosure _ | Message.Raw _ | Message.Tquery _
-  | Message.Tanswer _ | Message.Tprobe _ | Message.Tstat _
-  | Message.Tcomplete _ | Message.Cancel _ ->
-      charge t
-        (replays t ~target:from
-        @ List.concat_map (fun b -> behavior_actions t ~target:from b) t.behaviors)
+let react t ~from =
+  charge t
+    (replays t ~target:from
+    @ List.concat_map (fun b -> behavior_actions t ~target:from b) t.behaviors)

@@ -46,8 +46,7 @@ val burst : t -> targets:string list -> action list
     (round-robin for singleton-target behaviors), clipped to the
     remaining budget. *)
 
-val react : t -> from:string -> Message.payload -> action list
-(** The adversary's answer to an inbound payload: replays and a fresh
-    burst aimed at the sender, while the budget lasts.  Reacting to
-    nothing ([Ack]) stays silent so two adversaries cannot ping-pong
-    forever. *)
+val react : t -> from:string -> action list
+(** The adversary's answer to an inbound message, whatever it holds:
+    replays and a fresh burst aimed at the sender, while the budget
+    lasts (so two adversaries cannot ping-pong forever). *)

@@ -20,7 +20,6 @@ type payload =
       certs : Peertrust_crypto.Cert.t list;
       rules : Rule.t list;
     }
-  | Ack
   | Raw of string
   | Tquery of { goal : Literal.t; path : table_ref list }
   | Tanswer of { goal : Literal.t; instances : Literal.t list; final : bool }
@@ -35,7 +34,7 @@ let kind = function
   | Deny _ -> Stats.Deny
   | Disclosure _ -> Stats.Disclosure
   | Tquery _ | Tanswer _ | Tprobe _ | Tstat _ | Tcomplete _ -> Stats.Tabling
-  | Ack | Raw _ | Cancel _ -> Stats.Other
+  | Raw _ | Cancel _ -> Stats.Other
 
 let cert_size (c : Peertrust_crypto.Cert.t) =
   String.length (Peertrust_crypto.Cert.payload c)
@@ -62,7 +61,6 @@ let size = function
       8
       + List.fold_left (fun acc c -> acc + cert_size c) 0 certs
       + List.fold_left (fun acc r -> acc + rule_size r) 0 rules
-  | Ack -> 8
   | Raw s -> 8 + String.length s
   | Tquery { goal; path } -> 8 + literal_size goal + (List.length path * 12)
   | Tanswer { goal; instances; final = _ } ->
@@ -78,7 +76,7 @@ let size = function
   | Cancel { goal } -> 8 + literal_size goal
 
 let cert_count = function
-  | Query _ | Deny _ | Ack | Raw _ | Cancel _ -> 0
+  | Query _ | Deny _ | Raw _ | Cancel _ -> 0
   | Tquery _ | Tanswer _ | Tprobe _ | Tstat _ | Tcomplete _ -> 0
   | Answer { certs; _ } | Disclosure { certs; _ } -> List.length certs
 
@@ -92,7 +90,6 @@ let summary = function
   | Disclosure { certs; rules } ->
       Printf.sprintf "disclose %d cert(s), %d rule(s)" (List.length certs)
         (List.length rules)
-  | Ack -> "ack"
   | Raw s -> Printf.sprintf "raw %d byte(s)" (String.length s)
   | Tquery { goal; path } ->
       Printf.sprintf "tquery %s (depth %d)" (Literal.to_string goal)

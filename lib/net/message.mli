@@ -37,7 +37,6 @@ type payload =
       certs : Peertrust_crypto.Cert.t list;
       rules : Rule.t list;
     }  (** unsolicited push of unlocked resources (eager strategy) *)
-  | Ack
   | Raw of string
       (** an uninterpreted byte string — honest peers never send one; the
           adversary harness uses it to model garbage on the wire.  The

@@ -68,8 +68,8 @@ val post :
     0) is the sender's restart count, stamped on every surviving copy.  Extra delivery delay is reflected
     in [deliver_at].  Lost and duplicated sends increment [net.drops] /
     [net.duplicates].  [trace] (default [None]) is stamped verbatim on
-    every surviving copy — the in-process form of the wire-propagated
-    trace header ({!Wire}).
+    every surviving copy; contexts travel only in-process, on
+    [Envelope.trace].
     @raise Unreachable if the target is down ({!set_down}) or the message
     budget is exhausted ([Budget_exhausted]); scheduled outages do NOT
     raise — the sender only learns through missing answers. *)

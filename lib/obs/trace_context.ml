@@ -8,66 +8,10 @@ let make ?(sampled = true) ~trace_id ~parent_span () =
 
 let child ctx ~parent_span = { ctx with parent_span }
 
-(* ------------------------------------------------------------------ *)
-(* Wire header codec.
-
-   The on-the-wire form follows the W3C traceparent shape —
-   version - trace id - parent span - flags — with fixed-width
-   lowercase hex fields:
-
-     pt1-00000000000000c2-000000000000001f-01
-
-   The decoder is total: any string that is not byte-for-byte a valid
-   header maps to [None], never an exception, so a hostile peer cannot
-   crash a receiver by corrupting the field (mirrors the
-   [Crypto.Wire] totality contract). *)
-
-let version = "pt1"
-let field_width = 16
-let header_length = 3 + 1 + field_width + 1 + field_width + 1 + 2
-
-let to_header ctx =
-  Printf.sprintf "%s-%016x-%016x-%s" version ctx.trace_id ctx.parent_span
+(* The traceparent shape — version - trace id - parent span - flags —
+   with fixed-width lowercase hex fields, for printing. *)
+let pp fmt ctx =
+  Format.fprintf fmt "pt1-%016x-%016x-%s" ctx.trace_id ctx.parent_span
     (if ctx.sampled then "01" else "00")
 
-let hex_digit c =
-  match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | _ -> None
-
-(* Fixed-width hex field -> non-negative int, [None] on a non-digit or a
-   value past [max_int] (the encoder only emits native ints, so anything
-   larger is corruption, not data). *)
-let parse_hex s off =
-  let rec go acc i =
-    if i = field_width then Some acc
-    else
-      match hex_digit s.[off + i] with
-      | None -> None
-      | Some d ->
-          if acc > (max_int - d) / 16 then None else go ((acc * 16) + d) (i + 1)
-  in
-  go 0 0
-
-let of_header s =
-  if String.length s <> header_length then None
-  else if not (String.equal (String.sub s 0 3) version) then None
-  else if s.[3] <> '-' || s.[3 + 1 + field_width] <> '-'
-          || s.[3 + 2 + (2 * field_width)] <> '-'
-  then None
-  else
-    match
-      ( parse_hex s 4,
-        parse_hex s (3 + 2 + field_width),
-        String.sub s (3 + 3 + (2 * field_width)) 2 )
-    with
-    | Some trace_id, Some parent_span, flags when trace_id >= 1 -> (
-        match flags with
-        | "01" -> Some { trace_id; parent_span; sampled = true }
-        | "00" -> Some { trace_id; parent_span; sampled = false }
-        | _ -> None)
-    | _ -> None
-
-let pp fmt ctx = Format.pp_print_string fmt (to_header ctx)
 let equal a b = a = b

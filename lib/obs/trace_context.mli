@@ -8,10 +8,8 @@
     sampling bit — a receiver honours [sampled = false] by not recording
     spans for the delivery even when its own tracer is enabled.
 
-    The wire form ({!to_header}/{!of_header}) is a fixed-width
-    traceparent-style header, e.g.
-    ["pt1-00000000000000c2-000000000000001f-01"].  {!of_header} is
-    total: malformed input returns [None], never an exception. *)
+    Contexts travel inside the process, on {!Peertrust_net.Envelope.t}'s
+    [trace] field; nothing encodes or decodes them as bytes. *)
 
 type t = {
   trace_id : int;  (** >= 1; 0 never names a trace *)
@@ -26,13 +24,7 @@ val make : ?sampled:bool -> trace_id:int -> parent_span:int -> unit -> t
 val child : t -> parent_span:int -> t
 (** Same trace and sampling, re-parented under [parent_span]. *)
 
-val to_header : t -> string
-(** Fixed-width header, always {!header_length} bytes. *)
-
-val of_header : string -> t option
-(** Total inverse of {!to_header}: [None] on anything malformed. *)
-
-val header_length : int
-
 val pp : Format.formatter -> t -> unit
+(** Traceparent-style, e.g. ["pt1-00000000000000c2-000000000000001f-01"]. *)
+
 val equal : t -> t -> bool

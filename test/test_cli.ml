@@ -165,6 +165,39 @@ let test_cli_wallet_roundtrip () =
   Sys.remove wallet;
   Alcotest.(check int) "wallet restores the credential" 0 code2
 
+let test_cli_world_roundtrip () =
+  let owner = write_temp ".pt" owner_program in
+  let client = write_temp ".pt" client_program in
+  let dir = Filename.temp_file "ptcli" ".world" in
+  Sys.remove dir;
+  let code, _ =
+    run
+      [ "negotiate"; "-p"; "owner=" ^ owner; "-p"; "client=" ^ client;
+        "--requester"; "client"; "--target"; "owner"; "--save-world"; dir;
+        {|resource("r")|} ]
+  in
+  Sys.remove owner;
+  Sys.remove client;
+  Alcotest.(check int) "first run ok" 0 code;
+  let code, out = run [ "world"; "--dir"; dir ] in
+  Alcotest.(check int) "describe ok" 0 code;
+  Alcotest.(check string) "both peers with their counts"
+    "client: 2 rule(s), 1 certificate(s)\nowner: 5 rule(s), 1 certificate(s)\n"
+    out;
+  let code, _ =
+    run [ "world"; "--dir"; dir; "--requester"; "client"; "--target"; "owner";
+          {|resource("r")|} ]
+  in
+  Alcotest.(check int) "negotiates inside the world" 0 code;
+  let files = Array.to_list (Sys.readdir dir) in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+  Sys.rmdir dir;
+  Alcotest.(check (list string)) "only programs and journals" []
+    (List.filter
+       (fun f ->
+         not (Filename.check_suffix f ".pt" || Filename.check_suffix f ".journal"))
+       files)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cli"
@@ -180,5 +213,6 @@ let () =
           tc "analyze deadlock" test_cli_analyze;
           tc "scenario" test_cli_scenario;
           tc "wallet roundtrip" test_cli_wallet_roundtrip;
+          tc "world roundtrip" test_cli_world_roundtrip;
         ] );
     ]

@@ -546,6 +546,61 @@ let test_wire_tamper_detected_after_import () =
       | Ok () -> Alcotest.fail "tampered import verified"
       | Error e -> Alcotest.failf "unexpected error: %a" Cert.pp_error e)
 
+(* A [sig:] line's hex must be exactly what [Bignum.to_hex] writes.
+   Spellings that name the same signature ("d_" for the byte 0d, upper
+   case, a leading zero nibble) are refused, so no second hex spelling
+   of an issued certificate's signature decodes. *)
+
+(* The first of a few seed-2004 certificates (384-bit keys) whose
+   signature hex holds the byte 0d, with that pair's offset in the hex. *)
+let cert_with_0d_byte () =
+  let ks = Keystore.create ~seed:2004L () in
+  let rec find = function
+    | [] -> Alcotest.fail "no signature holds the byte 0d"
+    | who :: rest -> (
+        let rule =
+          parse_rule (Printf.sprintf {|student("%s") @ "UIUC" signedBy ["UIUC"].|} who)
+        in
+        match Cert.issue ks rule with
+        | Ok ({ Cert.signatures = [ (_, s) ]; _ } as cert) -> (
+            let h = Bignum.to_hex s in
+            (* to_hex drops a leading zero nibble, so bytes start at odd
+               offsets when the length is odd *)
+            let rec byte i =
+              if i + 2 > String.length h then None
+              else if String.sub h i 2 = "0d" then Some i
+              else byte (i + 2)
+            in
+            match byte (String.length h land 1) with
+            | Some i -> (ks, cert, h, i)
+            | None -> find rest)
+        | _ -> Alcotest.fail "issue failed")
+  in
+  find [ "Alice"; "Bob"; "Carol"; "Dave"; "Eve" ]
+
+let test_wire_canonical_hex () =
+  let ks, cert, h, i = cert_with_0d_byte () in
+  let text = Wire.encode cert in
+  (match Wire.decode text with
+  | Ok c -> Alcotest.(check bool) "original verifies" true (Cert.verify ks c = Ok ())
+  | Error e -> Alcotest.failf "original refused: %a" Wire.pp_error e);
+  let sig_prefix = "sig: " ^ Hex.encode "UIUC" ^ ":" in
+  let respell label h' =
+    let text' =
+      String.split_on_char '\n' text
+      |> List.map (fun l -> if l = sig_prefix ^ h then sig_prefix ^ h' else l)
+      |> String.concat "\n"
+    in
+    Alcotest.(check bool) (label ^ ": a different text") false (text' = text);
+    match Wire.decode text' with
+    | Error (Wire.Malformed _) -> ()
+    | Ok _ -> Alcotest.failf "%s: decoded %S" label text'
+  in
+  respell "0d written d_"
+    (String.sub h 0 i ^ "d_" ^ String.sub h (i + 2) (String.length h - i - 2));
+  respell "upper case" (String.uppercase_ascii h);
+  respell "leading zero nibble" ("0" ^ h)
+
 let test_wire_malformed () =
   let expect src =
     match Wire.decode src with
@@ -706,6 +761,7 @@ let () =
           tc "wallet" test_wire_wallet;
           tc "tamper detected after import" test_wire_tamper_detected_after_import;
           tc "malformed inputs" test_wire_malformed;
+          tc "signature hex has one spelling" test_wire_canonical_hex;
         ] );
       ( "cert",
         [

@@ -144,111 +144,9 @@ let test_network_transcript () =
   Alcotest.(check int) "cleared" 0 (List.length (Network.transcript net))
 
 (* ------------------------------------------------------------------ *)
-(* Wire framing and trace propagation *)
+(* Trace propagation: the context rides on every envelope copy *)
 
 module Tctx = Peertrust_obs.Trace_context
-
-let sample_header ?trace () =
-  {
-    Wire.h_id = 7;
-    h_seq = 3;
-    h_attempt = 1;
-    h_from = "Alice";
-    h_target = "E-Learn";
-    h_sent_at = 12;
-    h_deliver_at = 14;
-    h_kind = "query";
-    h_bytes = 96;
-    h_incarnation = 0;
-    h_tabling = None;
-    h_trace = trace;
-  }
-
-let header_testable =
-  Alcotest.testable
-    (fun fmt h -> Format.pp_print_string fmt (String.escaped (Wire.encode h)))
-    ( = )
-
-let test_wire_roundtrip () =
-  let check_rt label h =
-    match Wire.decode (Wire.encode h) with
-    | Ok h' -> Alcotest.check header_testable label h h'
-    | Error e -> Alcotest.failf "%s: %a" label Wire.pp_error e
-  in
-  check_rt "untraced header" (sample_header ());
-  check_rt "traced header"
-    (sample_header
-       ~trace:(Tctx.make ~trace_id:194 ~parent_span:31 ())
-       ());
-  check_rt "unsampled context"
-    (sample_header
-       ~trace:(Tctx.make ~sampled:false ~trace_id:2 ~parent_span:0 ())
-       ());
-  (* Peer names that collide with the frame syntax must survive. *)
-  check_rt "names needing escaping"
-    {
-      (sample_header ()) with
-      Wire.h_from = "evil\npeer";
-      h_target = "tab\tand \"quotes\"";
-    }
-
-let test_wire_envelope () =
-  let ctx = Tctx.make ~trace_id:5 ~parent_span:9 () in
-  let env =
-    {
-      Envelope.id = 41;
-      seq = 2;
-      from_ = "Bob";
-      target = "E-Learn";
-      sent_at = 3;
-      deliver_at = 5;
-      attempt = 0;
-      incarnation = 0;
-      trace = Some ctx;
-      payload = Message.Query { goal = lit {|p("x")|} };
-    }
-  in
-  let h = Wire.header_of_envelope env in
-  Alcotest.(check string) "kind from the payload" "query" h.Wire.h_kind;
-  Alcotest.(check int) "accounted size" (Message.size env.Envelope.payload)
-    h.Wire.h_bytes;
-  Alcotest.(check string) "envelope encoding is the header's"
-    (Wire.encode h) (Wire.encode_envelope env);
-  match Wire.decode (Wire.encode_envelope env) with
-  | Ok h' ->
-      Alcotest.(check bool) "trace context survives the frame" true
-        (h'.Wire.h_trace = Some ctx)
-  | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_error e
-
-let test_wire_decode_garbage () =
-  let expect_error label input =
-    match Wire.decode input with
-    | Ok _ -> Alcotest.failf "%s: accepted %S" label input
-    | Error (Wire.Malformed { line; _ }) ->
-        Alcotest.(check bool)
-          (label ^ ": line is 1-based") true (line >= 1)
-  in
-  expect_error "empty" "";
-  expect_error "wrong magic" "HTTP/1.1 200 OK\n";
-  let good = Wire.encode (sample_header ()) in
-  expect_error "truncated" (String.sub good 0 (String.length good / 2));
-  expect_error "junk appended" (good ^ "junk\n");
-  (* A frame whose traceparent field is corrupt must be rejected as
-     malformed, not silently accepted without the context. *)
-  let traced =
-    Wire.encode
-      (sample_header ~trace:(Tctx.make ~trace_id:1 ~parent_span:0 ()) ())
-  in
-  let corrupt =
-    String.concat "\n"
-      (List.map
-         (fun l ->
-           if String.length l >= 11 && String.sub l 0 11 = "traceparent" then
-             "traceparent: pt1-zzzz"
-           else l)
-         (String.split_on_char '\n' traced))
-  in
-  expect_error "corrupt traceparent" corrupt
 
 let test_post_stamps_trace () =
   let net = Network.create () in
@@ -302,9 +200,6 @@ let () =
         ] );
       ( "wire",
         [
-          tc "header round-trip" test_wire_roundtrip;
-          tc "envelope framing" test_wire_envelope;
-          tc "garbage rejected, never raises" test_wire_decode_garbage;
           tc "post stamps the trace context" test_post_stamps_trace;
           tc "duplicates share the context" test_post_duplicates_share_trace;
         ] );

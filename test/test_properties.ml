@@ -670,6 +670,27 @@ let prop_bytes_codec =
       && (s = ""
          || Bytes.to_string (Crypto.Bignum.to_bytes_be ~size:(String.length s) v) = s))
 
+(* The one hex codec: decoding inverts encoding, and a text decodes
+   only if it is exactly what the encoder writes for the decoded bytes
+   (no upper case, no '_' or "0x"/'+' spellings of a digit pair). *)
+
+let prop_hex_roundtrip =
+  QCheck.Test.make ~name:"hex: decode inverts encode" ~count:(scale 300)
+    QCheck.(string_of_size Gen.(int_range 0 64))
+    (fun s -> Crypto.Hex.decode (Crypto.Hex.encode s) = Some s)
+
+let prop_hex_canonical =
+  QCheck.Test.make ~name:"hex: only the encoder's text decodes"
+    ~count:(scale 1000)
+    QCheck.(
+      string_gen_of_size
+        Gen.(int_range 0 12)
+        (Gen.oneofl (List.of_seq (String.to_seq "0123456789abcdefABCDEF_x+"))))
+    (fun h ->
+      match Crypto.Hex.decode h with
+      | Some s -> Crypto.Hex.encode s = h
+      | None -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Robustness: parsers fail only with their documented exceptions *)
 
@@ -786,11 +807,9 @@ let prop_wire_mutated_total =
       | exception _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Observability: percentile monotonicity, and the trace/envelope wire
-   headers under the same hostile-input discipline as the cert wallet. *)
+(* Observability: percentile monotonicity. *)
 
 module Pobs = Peertrust_obs
-module Pnet = Peertrust_net
 
 let prop_percentile_monotone =
   (* percentile hs is monotone in q — including samples that land in the
@@ -813,109 +832,6 @@ let prop_percentile_monotone =
       let hs = Pobs.Metric.snapshot_histogram h in
       let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
       Pobs.Metric.percentile hs lo <= Pobs.Metric.percentile hs hi)
-
-let prop_trace_header_roundtrip =
-  let arb =
-    QCheck.make
-      ~print:(fun c -> Pobs.Trace_context.to_header c)
-      QCheck.Gen.(
-        map3
-          (fun trace_id parent_span sampled ->
-            Pobs.Trace_context.make ~sampled ~trace_id:(trace_id + 1)
-              ~parent_span ())
-          (int_bound 1_000_000_000) (int_bound 1_000_000_000) bool)
-  in
-  QCheck.Test.make ~name:"trace: header decode inverts encode"
-    ~count:(scale 300) arb (fun c ->
-      Pobs.Trace_context.of_header (Pobs.Trace_context.to_header c) = Some c)
-
-let prop_trace_header_mutated_total =
-  (* No byte-level damage to a valid header makes [of_header] raise, and
-     anything it does accept is a well-formed context. *)
-  QCheck.Test.make ~name:"fuzz: trace header decoder is total"
-    ~count:(scale 300) arb_wallet_damage (fun (muts, trunc) ->
-      let h =
-        Pobs.Trace_context.to_header
-          (Pobs.Trace_context.make ~trace_id:194 ~parent_span:31 ())
-      in
-      let b = Bytes.of_string h in
-      List.iter
-        (fun (pos, c) -> Bytes.set b (pos mod Bytes.length b) (Char.chr c))
-        muts;
-      let s = Bytes.to_string b in
-      let s =
-        match trunc with
-        | Some n -> String.sub s 0 (min n (String.length s))
-        | None -> s
-      in
-      match Pobs.Trace_context.of_header s with
-      | Some c -> c.Pobs.Trace_context.trace_id >= 1
-      | None -> true
-      | exception _ -> false)
-
-let arb_wire_header =
-  let open QCheck.Gen in
-  let name =
-    oneof
-      [
-        oneofl [ "Alice"; "E-Learn"; "odd name"; "nl\nin-name"; "q\"uote" ];
-        string_size ~gen:printable (int_range 0 12);
-      ]
-  in
-  QCheck.make
-    ~print:(fun h -> String.escaped (Pnet.Wire.encode h))
-    (map
-       (fun ((id, seq, attempt), (from_, target), (sent, dl, bytes), trace) ->
-         {
-           Pnet.Wire.h_id = id;
-           h_seq = seq;
-           h_attempt = attempt;
-           h_from = from_;
-           h_target = target;
-           h_sent_at = sent;
-           h_deliver_at = dl;
-           h_kind = "query";
-           h_bytes = bytes;
-           h_incarnation = bytes mod 3;
-           h_tabling = None;
-           h_trace =
-             Option.map
-               (fun (t, p, s) ->
-                 Pobs.Trace_context.make ~sampled:s ~trace_id:(t + 1)
-                   ~parent_span:p ())
-               trace;
-         })
-       (quad
-          (triple small_nat small_nat small_nat)
-          (pair name name)
-          (triple small_nat small_nat small_nat)
-          (option (triple (int_bound 100_000) (int_bound 100_000) bool))))
-
-let prop_envelope_wire_roundtrip =
-  QCheck.Test.make ~name:"wire: envelope header decode inverts encode"
-    ~count:(scale 200) arb_wire_header (fun h ->
-      Pnet.Wire.decode (Pnet.Wire.encode h) = Ok h)
-
-let prop_envelope_wire_mutated_total =
-  QCheck.Test.make
-    ~name:"fuzz: envelope header decoder is total on mutated frames"
-    ~count:(scale 300)
-    (QCheck.pair arb_wire_header arb_wallet_damage)
-    (fun (h, (muts, trunc)) ->
-      let frame = Pnet.Wire.encode h in
-      let b = Bytes.of_string frame in
-      List.iter
-        (fun (pos, c) -> Bytes.set b (pos mod Bytes.length b) (Char.chr c))
-        muts;
-      let s = Bytes.to_string b in
-      let s =
-        match trunc with
-        | Some n -> String.sub s 0 (min n (String.length s))
-        | None -> s
-      in
-      match Pnet.Wire.decode s with
-      | Ok _ | Error (Pnet.Wire.Malformed _) -> true
-      | exception _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Distributed tabling: random programs partitioned across 2-5 peers,
@@ -1102,113 +1018,6 @@ let report_tabling_coverage () =
      rejection)\n"
     !tabling_cyclic_runs !tabling_naf_skips
 
-(* The new tabling control headers under the same wire discipline as the
-   rest of the envelope header: decode inverts encode across all five
-   variants (peer names and goal keys are hex-armoured, so arbitrary
-   bytes must survive), no byte-level damage makes the decoder raise,
-   and the stream decoder is total on mutated multi-frame input. *)
-
-let gen_goal_key =
-  QCheck.Gen.oneofl
-    [ "accredited(A) ."; "p(X, Y)."; ""; "k\x00\xffey"; "sp ace~colon:semi;" ]
-
-let gen_table_ref =
-  QCheck.Gen.(
-    pair
-      (oneofl [ "peer0"; "c1p0"; "odd name"; "nl\nin-name"; "q\"uote"; "" ])
-      gen_goal_key)
-
-let gen_tabling_field =
-  let open QCheck.Gen in
-  let refs n = list_size (int_range 0 n) gen_table_ref in
-  oneof
-    [
-      map (fun path -> Pnet.Wire.Hquery { path }) (refs 4);
-      map2
-        (fun final count -> Pnet.Wire.Hanswer { final; count })
-        bool small_nat;
-      map3
-        (fun leader epoch members ->
-          Pnet.Wire.Hprobe { leader; epoch; members })
-        gen_table_ref small_nat (refs 3);
-      map3
-        (fun leader epoch entries ->
-          Pnet.Wire.Hstat { leader; epoch; entries })
-        gen_table_ref small_nat
-        (list_size (int_range 0 3)
-           (triple gen_goal_key
-              (int_range (-1) 50)  (* negative size = inactive member *)
-              (list_size (int_range 0 3)
-                 (map2
-                    (fun (o, k) (seen, f) -> (o, k, seen, f))
-                    gen_table_ref (pair small_nat bool)))));
-      map3
-        (fun leader epoch members ->
-          Pnet.Wire.Hcomplete { leader; epoch; members })
-        gen_table_ref small_nat (refs 3);
-    ]
-
-let arb_tabling_header =
-  QCheck.make
-    ~print:(fun h -> String.escaped (Pnet.Wire.encode h))
-    QCheck.Gen.(
-      map2
-        (fun h tb ->
-          { h with Pnet.Wire.h_tabling = Some tb; h_kind = "tabling" })
-        (QCheck.gen arb_wire_header) gen_tabling_field)
-
-let prop_tabling_wire_roundtrip =
-  QCheck.Test.make ~name:"wire: tabling header decode inverts encode"
-    ~count:(scale 300) arb_tabling_header (fun h ->
-      Pnet.Wire.decode (Pnet.Wire.encode h) = Ok h)
-
-let prop_tabling_wire_mutated_total =
-  QCheck.Test.make
-    ~name:"fuzz: tabling header decoder is total on mutated frames"
-    ~count:(scale 300)
-    (QCheck.pair arb_tabling_header arb_wallet_damage)
-    (fun (h, (muts, trunc)) ->
-      let frame = Pnet.Wire.encode h in
-      let b = Bytes.of_string frame in
-      List.iter
-        (fun (pos, c) -> Bytes.set b (pos mod Bytes.length b) (Char.chr c))
-        muts;
-      let s = Bytes.to_string b in
-      let s =
-        match trunc with
-        | Some n -> String.sub s 0 (min n (String.length s))
-        | None -> s
-      in
-      match Pnet.Wire.decode s with
-      | Ok _ | Error (Pnet.Wire.Malformed _) -> true
-      | exception _ -> false)
-
-let prop_tabling_wire_stream_total =
-  QCheck.Test.make
-    ~name:"fuzz: wire stream decoder is total on mutated tabling frames"
-    ~count:(scale 200)
-    (QCheck.pair
-       (QCheck.pair arb_tabling_header arb_wire_header)
-       arb_wallet_damage)
-    (fun ((h1, h2), (muts, trunc)) ->
-      let stream = Pnet.Wire.encode h1 ^ "\n" ^ Pnet.Wire.encode h2 in
-      (* The clean stream must roundtrip before any damage is applied. *)
-      Pnet.Wire.decode_many stream = Ok [ h1; h2 ]
-      &&
-      let b = Bytes.of_string stream in
-      List.iter
-        (fun (pos, c) -> Bytes.set b (pos mod Bytes.length b) (Char.chr c))
-        muts;
-      let s = Bytes.to_string b in
-      let s =
-        match trunc with
-        | Some n -> String.sub s 0 (min n (String.length s))
-        | None -> s
-      in
-      match Pnet.Wire.decode_many s with
-      | Ok _ | Error (Pnet.Wire.Malformed _) -> true
-      | exception _ -> false)
-
 (* ------------------------------------------------------------------ *)
 (* Journal durability: the write-ahead journal behind crash-stop
    recovery.  A crash tears at most the line being appended, so parsing
@@ -1362,6 +1171,8 @@ let () =
             prop_modpow_reference;
             prop_crt_sign_reference;
             prop_bytes_codec;
+            prop_hex_roundtrip;
+            prop_hex_canonical;
           ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
@@ -1377,10 +1188,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_percentile_monotone;
-            prop_trace_header_roundtrip;
-            prop_trace_header_mutated_total;
-            prop_envelope_wire_roundtrip;
-            prop_envelope_wire_mutated_total;
           ] );
       ( "persist",
         List.map QCheck_alcotest.to_alcotest
@@ -1393,9 +1200,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_distributed_tabling_agrees;
-            prop_tabling_wire_roundtrip;
-            prop_tabling_wire_mutated_total;
-            prop_tabling_wire_stream_total;
           ]
         @ [
             Alcotest.test_case "coverage report" `Quick

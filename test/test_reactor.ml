@@ -547,6 +547,7 @@ let guard_cfg =
 let mk_guard () = Guard.create ~config:guard_cfg ~verify:(fun _ -> true) ()
 let garbage = Net.Message.Raw "not a certificate"
 let probe = Net.Message.Query { goal = lit "ping(1)" }
+let empty_disclosure = Net.Message.Disclosure { certs = []; rules = [] }
 
 let test_guard_breaker_transitions () =
   let g = mk_guard () in
@@ -563,12 +564,12 @@ let test_guard_breaker_transitions () =
   Alcotest.(check (list (pair string string))) "pair listed as quarantined"
     [ ("owner", "mal") ] (Guard.quarantined g);
   (* ...everything is rejected while it is open... *)
-  (match admit ~now:5 Net.Message.Ack with
+  (match admit ~now:5 empty_disclosure with
   | Guard.Reject Guard.Quarantined -> ()
-  | _ -> Alcotest.fail "quarantine must reject even Ack");
+  | _ -> Alcotest.fail "quarantine must reject even an empty disclosure");
   (* ...a served quarantine moves to half-open, and a clean payload
      during probation closes it again... *)
-  (match admit ~now:11 Net.Message.Ack with
+  (match admit ~now:11 empty_disclosure with
   | Guard.Admit -> ()
   | _ -> Alcotest.fail "probation should admit a clean payload");
   Alcotest.(check bool) "closed after recovery" true (breaker () = Guard.Closed);

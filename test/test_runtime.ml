@@ -256,12 +256,6 @@ let test_persist_preserves_learned_state () =
       Alcotest.(check bool) "cache survived the roundtrip" true
         (r.Negotiation.messages < 6)
 
-let test_persist_missing_meta () =
-  with_temp_dir @@ fun dir ->
-  match Persist.load ~dir () with
-  | Error (Persist.Bad_world _) -> ()
-  | Ok _ -> Alcotest.fail "empty dir accepted"
-
 (* Corrupt worlds: every flavour of damage must come back as a
    structured [Bad_world] naming the file (and line, where a parser is
    involved) — never an exception. *)
@@ -270,6 +264,8 @@ let write_raw path contents =
   let oc = open_out_bin path in
   output_string oc contents;
   close_out oc
+
+let read_raw path = In_channel.with_open_bin path In_channel.input_all
 
 let expect_bad_world ~substr result =
   let contains s sub =
@@ -285,73 +281,174 @@ let expect_bad_world ~substr result =
       if not (contains m substr) then
         Alcotest.failf "reason %S does not mention %S" m substr
 
-let saved_single_peer_world dir =
+(* A saved peer's two files: its name in hex, then [.pt] or [.journal]. *)
+let world_file dir name ext =
+  Filename.concat dir (Peertrust_crypto.Hex.encode name ^ ext)
+
+(* "owner" holds two learned certificates.  Its saved program is then
+   overwritten without their rules, so its journal is the only place
+   they live. *)
+let saved_wallet_world dir =
   let session = Session.create () in
-  ignore (Session.add_peer session ~program:{|info(1) $ true.|} "owner");
-  Persist.save session ~dir
+  let owner = Session.add_peer session ~program:{|info(1) $ true.|} "owner" in
+  List.iter
+    (fun src ->
+      match Peertrust_crypto.Cert.issue session.Session.keystore (Parser.parse_rule src) with
+      | Ok c -> Peer.add_cert owner c
+      | Error _ -> Alcotest.fail "issue")
+    [ {|a("x") @ "CA" signedBy ["CA"].|}; {|b("y") @ "CA" signedBy ["CA"].|} ];
+  Persist.save session ~dir;
+  write_raw (world_file dir "owner" ".pt") {|info(1) $ true.|};
+  world_file dir "owner" ".journal"
 
-let test_persist_bad_magic () =
+let test_persist_empty_dir () =
   with_temp_dir @@ fun dir ->
+  expect_bad_world ~substr:dir (Persist.load ~dir ());
   Sys.mkdir dir 0o755;
-  write_raw (Filename.concat dir "world.meta") "who knows\n";
-  expect_bad_world ~substr:"world.meta line 1" (Persist.load ~dir ())
-
-let test_persist_truncated_meta () =
-  with_temp_dir @@ fun dir ->
-  Sys.mkdir dir 0o755;
-  write_raw (Filename.concat dir "world.meta") "";
-  expect_bad_world ~substr:"world.meta line 1" (Persist.load ~dir ())
-
-let test_persist_corrupt_meta_entry () =
-  with_temp_dir @@ fun dir ->
-  Sys.mkdir dir 0o755;
-  write_raw
-    (Filename.concat dir "world.meta")
-    "peertrust-world 1\npeer: zero 6f776e6572\n";
-  expect_bad_world ~substr:"world.meta line 2" (Persist.load ~dir ())
-
-let test_persist_missing_program () =
-  with_temp_dir @@ fun dir ->
-  saved_single_peer_world dir;
-  Sys.remove (Filename.concat dir "peer0.pt");
-  expect_bad_world ~substr:"missing peer0.pt" (Persist.load ~dir ())
-
-let test_persist_garbage_program () =
-  with_temp_dir @@ fun dir ->
-  saved_single_peer_world dir;
-  write_raw (Filename.concat dir "peer0.pt") "info(1 $ true.\nrule( <- junk";
-  expect_bad_world ~substr:"peer0.pt line" (Persist.load ~dir ())
-
-let test_persist_garbage_wallet () =
-  with_temp_dir @@ fun dir ->
-  saved_single_peer_world dir;
-  write_raw
-    (Filename.concat dir "peer0.wallet")
-    "-----BEGIN PEERTRUST CERTIFICATE-----\n\
-     serial: x\n\
-     -----END PEERTRUST CERTIFICATE-----\n";
-  expect_bad_world ~substr:"peer0.wallet: line 2" (Persist.load ~dir ())
-
-let test_persist_truncated_wallet () =
-  with_temp_dir @@ fun dir ->
-  saved_single_peer_world dir;
-  write_raw
-    (Filename.concat dir "peer0.wallet")
-    "-----BEGIN PEERTRUST CERTIFICATE-----\nserial: 4\n";
-  expect_bad_world ~substr:"peer0.wallet" (Persist.load ~dir ())
+  expect_bad_world ~substr:"no peer program" (Persist.load ~dir ())
 
 let test_persist_odd_peer_names () =
   with_temp_dir @@ fun dir ->
   let session = Session.create () in
   ignore (Session.add_peer session ~program:{|info(1) $ true.|} "Weird: Name/1");
   ignore (Session.add_peer session "client peer");
+  ignore (Session.add_peer session "");
   Persist.save session ~dir;
   match Persist.load ~dir () with
   | Error e -> Alcotest.failf "load failed: %a" Persist.pp_error e
   | Ok loaded ->
       Alcotest.(check (list string)) "names survive"
-        [ "Weird: Name/1"; "client peer" ]
+        [ ""; "Weird: Name/1"; "client peer" ]
         (Session.peer_names loaded)
+
+let test_persist_save_over_larger_world () =
+  with_temp_dir @@ fun dir ->
+  let world names =
+    let session = Session.create () in
+    List.iter
+      (fun name -> ignore (Session.add_peer session ~program:{|info(1) $ true.|} name))
+      names;
+    session
+  in
+  Persist.save (world [ "alice"; "bob" ]) ~dir;
+  Persist.save (world [ "alice" ]) ~dir;
+  match Persist.load ~dir () with
+  | Error e -> Alcotest.failf "load failed: %a" Persist.pp_error e
+  | Ok loaded ->
+      Alcotest.(check (list string)) "one peer" [ "alice" ]
+        (Session.peer_names loaded)
+
+let test_persist_journal_dir_resume () =
+  (* A world directory is a valid [Journal_dir]: a reactor resuming from
+     it replays the journals the world was loaded from, a no-op. *)
+  with_temp_dir @@ fun dir ->
+  let s = Scenario.scenario1 () in
+  ignore
+    (request_str s.Scenario.s1_session ~requester:"Alice" ~target:"E-Learn"
+       {|discountEnroll(spanish101, "Alice")|});
+  Persist.save s.Scenario.s1_session ~dir;
+  match Persist.load ~dir () with
+  | Error e -> Alcotest.failf "load failed: %a" Persist.pp_error e
+  | Ok session ->
+      let wallets () =
+        List.map
+          (fun name ->
+            Hashtbl.fold
+              (fun _ c acc -> Peertrust_crypto.Wire.encode c :: acc)
+              (Session.peer session name).Peer.certs []
+            |> List.sort compare)
+          (Session.peer_names session)
+      in
+      let before = wallets () in
+      ignore
+        (Reactor.create
+           ~config:{ Reactor.default_config with journal = Reactor.Journal_dir dir }
+           session);
+      Alcotest.(check (list (list string))) "wallets unchanged" before (wallets ())
+
+let test_persist_non_hex_name () =
+  with_temp_dir @@ fun dir ->
+  ignore (saved_wallet_world dir);
+  (* "owner" in upper-case hex: a second spelling of a saved name. *)
+  write_raw (Filename.concat dir "6F776E6572.pt") {|info(1) $ true.|};
+  expect_bad_world ~substr:"6F776E6572.pt" (Persist.load ~dir ())
+
+let test_persist_missing_program () =
+  with_temp_dir @@ fun dir ->
+  ignore (saved_wallet_world dir);
+  Sys.remove (world_file dir "owner" ".pt");
+  expect_bad_world ~substr:"6f776e6572.journal: no program" (Persist.load ~dir ())
+
+let test_persist_garbage_program () =
+  with_temp_dir @@ fun dir ->
+  ignore (saved_wallet_world dir);
+  write_raw (world_file dir "owner" ".pt") "info(1 $ true.\nrule( <- junk";
+  expect_bad_world ~substr:"6f776e6572.pt line" (Persist.load ~dir ())
+
+let test_persist_garbage_wallet () =
+  with_temp_dir @@ fun dir ->
+  let journal = saved_wallet_world dir in
+  write_raw journal ("cert zz\n" ^ read_raw journal);
+  expect_bad_world ~substr:"6f776e6572.journal: journal line 1"
+    (Persist.load ~dir ())
+
+let test_persist_truncated_wallet () =
+  with_temp_dir @@ fun dir ->
+  let journal = saved_wallet_world dir in
+  let load_wallet () =
+    match Persist.load ~dir () with
+    | Error e -> Alcotest.failf "load failed: %a" Persist.pp_error e
+    | Ok session -> Hashtbl.length (Session.peer session "owner").Peer.certs
+  in
+  Alcotest.(check int) "both certificates" 2 (load_wallet ());
+  let text = read_raw journal in
+  write_raw journal (String.sub text 0 (String.length text - 20));
+  Alcotest.(check int) "the torn last line is dropped" 1 (load_wallet ())
+
+(* A journal's certificate has one text too: a middle [cert] line whose
+   signature spells the byte 0d as "d_" is damage, not the same entry. *)
+let test_journal_canonical_hex () =
+  let ks = Peertrust_crypto.Keystore.create ~seed:2004L () in
+  let module J = Persist.Journal in
+  let cert who =
+    match
+      Peertrust_crypto.Cert.issue ks
+        (Parser.parse_rule (Printf.sprintf {|student("%s") @ "UIUC" signedBy ["UIUC"].|} who))
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "issue"
+  in
+  let line c =
+    let j = J.in_memory () in
+    J.append j (J.Cert c);
+    J.contents j
+  in
+  (* Bob's signature hex holds the byte 0d; its hex has odd length (the
+     leading zero nibble is dropped), so bytes start at odd offsets. *)
+  let alice = cert "Alice" and bob = cert "Bob" in
+  let h = Peertrust_crypto.Bignum.to_hex (snd (List.hd bob.Peertrust_crypto.Cert.signatures)) in
+  let rec byte i =
+    if i + 2 > String.length h then Alcotest.fail "no 0d byte"
+    else if String.sub h i 2 = "0d" then i
+    else byte (i + 2)
+  in
+  let i = byte (String.length h land 1) in
+  let h' = String.sub h 0 i ^ "d_" ^ String.sub h (i + 2) (String.length h - i - 2) in
+  let respelled =
+    String.split_on_char '\n' (Peertrust_crypto.Wire.encode bob)
+    |> List.map (fun l ->
+           if String.ends_with ~suffix:(":" ^ h) l then
+             String.sub l 0 (String.length l - String.length h) ^ h'
+           else l)
+    |> String.concat "\n"
+  in
+  let journal =
+    line alice ^ "cert " ^ Peertrust_crypto.Hex.encode respelled ^ "\n" ^ line alice
+  in
+  (match J.parse (line alice ^ line bob ^ line alice) with
+  | Ok es -> Alcotest.(check int) "intact journal" 3 (List.length es)
+  | Error _ -> Alcotest.fail "intact journal refused");
+  expect_bad_world ~substr:"journal line 2" (J.parse journal)
 
 let test_journal_compaction () =
   (* Hashed compaction keeps exactly what the list-based dedup it
@@ -429,18 +526,19 @@ let () =
         [
           tc "roundtrip" test_persist_roundtrip;
           tc "learned state survives" test_persist_preserves_learned_state;
-          tc "missing meta" test_persist_missing_meta;
+          tc "empty directory" test_persist_empty_dir;
           tc "odd peer names" test_persist_odd_peer_names;
+          tc "saving over a larger world" test_persist_save_over_larger_world;
+          tc "journal resume keeps every wallet" test_persist_journal_dir_resume;
           tc "journal compaction" test_journal_compaction;
         ] );
       ( "persist corruption",
         [
-          tc "bad magic" test_persist_bad_magic;
-          tc "truncated meta" test_persist_truncated_meta;
-          tc "corrupt meta entry" test_persist_corrupt_meta_entry;
+          tc "non-hex program name" test_persist_non_hex_name;
           tc "missing program" test_persist_missing_program;
           tc "garbage program" test_persist_garbage_program;
           tc "garbage wallet" test_persist_garbage_wallet;
           tc "truncated wallet" test_persist_truncated_wallet;
+          tc "non-canonical journal hex" test_journal_canonical_hex;
         ] );
     ]
