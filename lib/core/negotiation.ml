@@ -100,15 +100,18 @@ let measure_inner session run =
   let msgs0 = Net.Stats.messages stats in
   let bytes0 = Net.Stats.bytes stats in
   let t0 = Net.Clock.now clock in
-  let log0 = List.length (Net.Network.transcript net) in
+  let log0 = Net.Network.logged net in
   let outcome =
     try run () with
     | Net.Network.Budget_exhausted -> Denied "message budget exhausted"
     | Net.Network.Unreachable peer -> Denied ("peer unreachable: " ^ peer)
   in
+  (* The newest entries of the ring; its length stops growing at the
+     cap, so count what was logged. *)
   let transcript =
     let all = Net.Network.transcript net in
-    List.filteri (fun i _ -> i >= log0) all
+    let skip = List.length all - (Net.Network.logged net - log0) in
+    List.filteri (fun i _ -> i >= skip) all
   in
   {
     outcome;

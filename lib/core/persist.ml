@@ -301,20 +301,34 @@ let load ?config ?seed ~dir () =
           match Crypto.Hex.decode stem with
           | None -> bad "%s: file name is not a hex-encoded peer name" file
           | Some name -> (
+              let peer = Session.add_peer session name in
               match
-                Session.add_peer session
-                  ~program:(read_file (Filename.concat dir file))
-                  name
+                Peer.load_program peer (read_file (Filename.concat dir file))
               with
               | exception Sys_error m -> Error (Bad_world m)
               | exception Peertrust_dlp.Parser.Error (m, l, _) ->
                   bad "%s line %d: %s" file l m
-              | peer -> (
+              | () -> (
                   match Journal.entries (Journal.for_peer ~dir ~peer:name) with
                   | exception Sys_error m -> Error (Bad_world m)
                   | Ok entries -> Ok (Journal.replay_peer peer entries)
                   | Error (Bad_world m) -> bad "%s.journal: %s" stem m))
         in
         let* () = each load_peer programs in
+        (* Certificates are told apart by serial: a signed rule no
+           journal held a certificate for gets one numbered above every
+           loaded serial. *)
+        Hashtbl.iter
+          (fun _ (peer : Peer.t) ->
+            Hashtbl.iter
+              (fun _ (c : Crypto.Cert.t) ->
+                Crypto.Keystore.claim_serial session.Session.keystore
+                  c.Crypto.Cert.serial)
+              peer.Peer.certs)
+          session.Session.peers;
+        List.iter
+          (fun name ->
+            Session.issue_signed_rules session (Session.peer session name))
+          (Session.peer_names session);
         Ok session
       end

@@ -107,23 +107,43 @@ type desk = {
 (* Retransmission state of one outstanding sub-query. *)
 type timer = {
   tm_goal : Literal.t;
+  tm_payload : Net.Message.payload;  (* the Query or Tquery it resends *)
   mutable tm_attempt : int;
   mutable tm_rto : int;
   mutable tm_next : int;  (* clock tick of the next retransmit/timeout *)
   tm_trace : Tctx.t option;
       (* trace context captured when the timer was armed, so retransmits
          and timeout denials stay on the originating negotiation's trace *)
-  tm_path : (string * string) list option;
-      (* [Some path] when the outstanding sub-query is a tabling Tquery;
-         retransmits must resend the same payload kind *)
 }
 
-(* Delivery queue ordered by (deliver_at, envelope id, enqueue number):
-   earliest delivery first, post order on ties — plain FIFO when no
-   delays are injected.  Duplicated copies of one post share an id, so
-   the enqueue number keeps two copies due at the same tick apart. *)
-module Dq = Map.Make (struct
-  type t = int * int * int
+(* What a peer knows of a sub-query it asked, one record per (asker,
+   target, goal key): a Query is posted at most once per asking peer. *)
+type ask = {
+  mutable resolved : bool;
+  mutable answer : Engine.instance list option;  (* of the last Answer *)
+  mutable denial : string option;  (* reason of the last Deny *)
+  mutable timer : timer option;  (* armed retransmission timer *)
+}
+
+(* All pending work is on one agenda ordered by (tick, slot).  At one
+   tick, scheduled events come first, in insertion order; then
+   deliveries by envelope id (post order: plain FIFO when no delays are
+   injected), with the enqueue number keeping apart the duplicated
+   copies of one post, which share an id; then timers by sub-query. *)
+type slot =
+  | Scheduled of int  (* insertion number *)
+  | Delivery of int * int  (* envelope id, enqueue number *)
+  | Retry of (string * string * string)  (* (asker, target, goal key) *)
+
+type work =
+  | Crash of string
+  | Restart of string
+  | Deadline of int  (* request id *)
+  | Deliver of Net.Envelope.t
+  | Fire of (string * string * string) * timer
+
+module Agenda = Map.Make (struct
+  type t = int * slot
 
   let compare = compare
 end)
@@ -138,32 +158,18 @@ type snapshot = {
   sn_origins : (int, string) Hashtbl.t;
 }
 
-(* Scheduled point events on the reactor timeline, merged with
-   deliveries and timers (events first on ties). *)
-type event =
-  | Ev_crash of string
-  | Ev_restart of string
-  | Ev_deadline of int  (* request id *)
-
 type t = {
   session : Session.t;
   config : config;
   guard : Guard.t;
   adversaries : (string, Net.Adversary.t) Hashtbl.t;
-  mutable dq : Net.Envelope.t Dq.t;
-  mutable enqueued : int;  (* envelopes ever enqueued: the third Dq key *)
+  mutable agenda : work Agenda.t;
+  mutable enqueued : int;  (* insertion numbers handed out *)
   mutable next_synth : int;  (* ids for locally synthesized messages, < 0 *)
   rings : (string, Net.Dedup.t) Hashtbl.t;
   (* delivered envelope ids, one bounded dedup ring per receiving peer —
      volatile state a crash wipes for that peer alone *)
-  timers : (string * string * string, timer) Hashtbl.t;
-  (* (peer, target, goal key) -> resolved? — each sub-query is posted at
-     most once per asking peer. *)
-  pending : (string * string * string, bool ref) Hashtbl.t;
-  (* (peer, target, goal key) -> instances of the last Answer *)
-  answers : (string * string * string, Engine.instance list) Hashtbl.t;
-  (* (peer, target, goal key) -> reason of the last Deny *)
-  denials : (string * string * string, string) Hashtbl.t;
+  asks : (string * string * string, ask) Hashtbl.t;
   desks : (string, desk) Hashtbl.t;  (* peer -> the goals parked there *)
   mutable n_parked : int;
   mutable order : int;  (* last park or wake-up order number *)
@@ -172,7 +178,6 @@ type t = {
   mutable budget_hit : bool;
   tabling_st : Tabling.t option;  (* present iff [config.tabling] *)
   (* -------- crash-stop machinery -------- *)
-  mutable events : (int * event) list;  (* sorted by tick, stable *)
   incarnations : (string, int) Hashtbl.t;  (* peer -> current, 0 at boot *)
   observed_inc : (string * string, int) Hashtbl.t;
   (* (observer, sender) -> highest incarnation seen from sender *)
@@ -186,6 +191,18 @@ type t = {
 
 type request = int
 
+(* A scheduled event runs after those already scheduled for its tick. *)
+let schedule t tick work =
+  t.enqueued <- t.enqueued + 1;
+  t.agenda <- Agenda.add (tick, Scheduled t.enqueued) work t.agenda
+
+let enqueue t env =
+  t.enqueued <- t.enqueued + 1;
+  t.agenda <-
+    Agenda.add
+      (env.Net.Envelope.deliver_at, Delivery (env.Net.Envelope.id, t.enqueued))
+      (Deliver env) t.agenda
+
 let create ?(config = default_config) session =
   if config.rto < 1 then invalid_arg "Reactor.create: rto must be >= 1";
   if config.retry_limit < 0 then
@@ -196,15 +213,6 @@ let create ?(config = default_config) session =
         ~now:session.Session.config.Session.now c
       = Ok ()
     else fun _ -> true
-  in
-  let events =
-    Net.Faults.crashes (Net.Network.faults session.Session.network)
-    |> List.concat_map (fun (peer, at_tick, restart_tick) ->
-           (at_tick, Ev_crash peer)
-           ::
-           (if restart_tick = max_int then []
-            else [ (restart_tick, Ev_restart peer) ]))
-    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   let snapshots = Hashtbl.create 8 in
   Hashtbl.iter
@@ -236,14 +244,11 @@ let create ?(config = default_config) session =
       guard =
         Guard.create ~config:session.Session.config.Session.guard ~verify ();
       adversaries = Hashtbl.create 4;
-      dq = Dq.empty;
+      agenda = Agenda.empty;
       enqueued = 0;
       next_synth = -1;
       rings = Hashtbl.create 8;
-      timers = Hashtbl.create 16;
-      pending = Hashtbl.create 64;
-      answers = Hashtbl.create 64;
-      denials = Hashtbl.create 16;
+      asks = Hashtbl.create 64;
       desks = Hashtbl.create 8;
       n_parked = 0;
       order = 0;
@@ -252,7 +257,6 @@ let create ?(config = default_config) session =
       budget_hit = false;
       tabling_st =
         (if config.tabling then Some (Tabling.create session) else None);
-      events;
       incarnations = Hashtbl.create 8;
       observed_inc = Hashtbl.create 16;
       last_crash = Hashtbl.create 8;
@@ -262,6 +266,11 @@ let create ?(config = default_config) session =
       req_owner = Hashtbl.create 8;
     }
   in
+  List.iter
+    (fun (peer, at_tick, restart_tick) ->
+      schedule t at_tick (Crash peer);
+      if restart_tick <> max_int then schedule t restart_tick (Restart peer))
+    (Net.Faults.crashes (Net.Network.faults session.Session.network));
   (* Cross-process recovery: a disk journal left by an earlier process
      replays its knowledge into the freshly loaded world.  Goal entries
      are not auto-resubmitted across processes — the driver owns request
@@ -290,12 +299,6 @@ let create ?(config = default_config) session =
 
 let goal_key = Peer.goal_key
 let now t = Net.Clock.now (Net.Network.clock t.session.Session.network)
-let enqueue t env =
-  t.enqueued <- t.enqueued + 1;
-  t.dq <-
-    Dq.add
-      (env.Net.Envelope.deliver_at, env.Net.Envelope.id, t.enqueued)
-      env t.dq
 
 (* The trace context a message sent right now should carry: the innermost
    open span's, [None] on untraced runs.  Callers that act on behalf of a
@@ -386,47 +389,82 @@ let post ?attempt ?trace t ~from ~target payload =
 let resilient t =
   not (Net.Faults.is_none (Net.Network.faults t.session.Session.network))
 
-let arm_timer ?trace ?path t ~peer ~target ~key goal =
-  if resilient t then
-    let pkey = (peer, target, key) in
-    if not (Hashtbl.mem t.timers pkey) then
-      Hashtbl.replace t.timers pkey
-        {
-          tm_goal = goal;
-          tm_attempt = 0;
-          tm_rto = t.config.rto;
-          tm_next = now t + t.config.rto;
-          tm_trace = resolve_trace trace;
-          tm_path = path;
-        }
+let put_timer t pkey tm =
+  t.agenda <- Agenda.add (tm.tm_next, Retry pkey) (Fire (pkey, tm)) t.agenda
 
-(* Consult the answer cache (if configured) for a sub-query; [None] with
-   the cache off. *)
-let cache_find t ~asker ~owner goal =
-  match t.config.cache with
-  | None -> None
-  | Some c -> Answer_cache.find c ~now:(now t) ~asker ~owner goal
+let disarm t pkey =
+  match Hashtbl.find_opt t.asks pkey with
+  | Some ({ timer = Some tm; _ } as r) ->
+      t.agenda <- Agenda.remove (tm.tm_next, Retry pkey) t.agenda;
+      r.timer <- None
+  | Some { timer = None; _ } | None -> ()
 
-(* Post a sub-query, registering it as pending: a cache hit
-   short-circuits into a locally synthesized Answer (no envelope, no
-   timer); a miss posts the query and arms its retransmission timer. *)
-let post_query ?trace t ~from ~target ~key goal =
-  Hashtbl.add t.pending (from, target, key) (ref false);
-  match cache_find t ~asker:from ~owner:target goal with
+let ask_record t pkey =
+  match Hashtbl.find_opt t.asks pkey with
+  | Some r -> r
+  | None ->
+      let r =
+        { resolved = false; answer = None; denial = None; timer = None }
+      in
+      Hashtbl.add t.asks pkey r;
+      r
+
+(* Ask a sub-query: a [Query], or with [path] a tabling [Tquery], which
+   healing may ask again (its record is kept).  A cache hit
+   short-circuits into a locally synthesized reply (no envelope, no
+   timer) — for a Tquery a final Tanswer, sound because the cache only
+   ever holds completed tables; a miss posts the query and arms its
+   retransmission timer. *)
+let ask ?trace ?path t ~from ~target ~key goal =
+  let pkey = (from, target, key) in
+  let r = ask_record t pkey in
+  let cached =
+    match t.config.cache with
+    | None -> None
+    | Some c -> Answer_cache.find c ~now:(now t) ~asker:from ~owner:target goal
+  in
+  match cached with
   | Some a ->
       Otracer.event (Obs.tracer ())
         (Printf.sprintf "reactor.cache_hit %s -> %s: %s" from target
            (Literal.to_string goal));
       enqueue_synthetic ?trace t ~from:target ~target:from
-        (Net.Message.Answer
-           {
-             goal;
-             instances = a.Answer_cache.instances;
-             certs = a.Answer_cache.certs;
-           })
+        (match path with
+        | None ->
+            Net.Message.Answer
+              {
+                goal;
+                instances = a.Answer_cache.instances;
+                certs = a.Answer_cache.certs;
+              }
+        | Some _ ->
+            Net.Message.Tanswer
+              {
+                goal;
+                instances = List.map fst a.Answer_cache.instances;
+                final = true;
+              })
   | None ->
-      post ?trace t ~from ~target (Net.Message.Query { goal });
-      arm_timer ?trace t ~peer:from ~target ~key goal
+      let payload =
+        match path with
+        | Some path -> Net.Message.Tquery { goal; path }
+        | None -> Net.Message.Query { goal }
+      in
+      post ?trace t ~from ~target payload;
+      if resilient t && Option.is_none r.timer then begin
+        let tm =
+          {
+            tm_goal = goal;
+            tm_payload = payload;
+            tm_attempt = 0;
+            tm_rto = t.config.rto;
+            tm_next = now t + t.config.rto;
+            tm_trace = resolve_trace trace;
+          }
+        in
+        r.timer <- Some tm;
+        put_timer t pkey tm
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Parked goals and their wake-up indexes *)
@@ -540,11 +578,9 @@ let unpark t d p =
 
 (* Wake rule (a): whatever resolves a sub-query — an answer, a denial, a
    deadline's withdrawal — queues the goals parked on it. *)
-let resolve t ((peer, target, key) as pkey) =
-  (match Hashtbl.find_opt t.pending pkey with
-  | Some resolved -> resolved := true
-  | None -> Hashtbl.add t.pending pkey (ref true));
-  Hashtbl.remove t.timers pkey;
+let resolve t ((peer, target, key) as pkey) r =
+  r.resolved <- true;
+  disarm t pkey;
   match Hashtbl.find_opt t.desks peer with
   | None -> ()
   | Some d -> (
@@ -597,38 +633,18 @@ let all_parked t =
     t.desks []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare b a)
 
-(* Put a batch of tabling posts on the wire.  Tqueries get a pending
-   entry (so the guard's solicitation oracle accepts the eventual
-   answers), a cache consult — a hit short-circuits into a synthetic
-   final Tanswer, which is sound because the cache only ever holds
-   completed tables — and a retransmission timer carrying the call path.
-   Everything else (answer pushes, probe traffic) is fire-and-forget:
-   losses are repaired by quiescence healing, not timers. *)
-let tabling_send ?trace t posts =
+(* Put a batch of tabling posts on the wire.  A Tquery is asked like any
+   sub-query (its record lets the guard's solicitation oracle accept the
+   eventual answers); everything else (answer pushes, probe traffic) is
+   fire-and-forget: losses are repaired by quiescence healing, not
+   timers. *)
+let tabling_send t posts =
   List.iter
     (fun { Tabling.p_from; p_target; p_payload } ->
       match p_payload with
-      | Net.Message.Tquery { goal; path } -> (
-          let key = goal_key goal in
-          let pkey = (p_from, p_target, key) in
-          if not (Hashtbl.mem t.pending pkey) then
-            Hashtbl.add t.pending pkey (ref false);
-          match cache_find t ~asker:p_from ~owner:p_target goal with
-          | Some a ->
-              Otracer.event (Obs.tracer ())
-                (Printf.sprintf "reactor.cache_hit %s -> %s: %s" p_from
-                   p_target (Literal.to_string goal));
-              enqueue_synthetic ?trace t ~from:p_target ~target:p_from
-                (Net.Message.Tanswer
-                   {
-                     goal;
-                     instances = List.map fst a.Answer_cache.instances;
-                     final = true;
-                   })
-          | None ->
-              post ?trace t ~from:p_from ~target:p_target p_payload;
-              arm_timer ?trace ~path t ~peer:p_from ~target:p_target ~key goal)
-      | _ -> post ?trace t ~from:p_from ~target:p_target p_payload)
+      | Net.Message.Tquery { goal; path } ->
+          ask ~path t ~from:p_from ~target:p_target ~key:(goal_key goal) goal
+      | _ -> post t ~from:p_from ~target:p_target p_payload)
     posts
 
 let with_tabling t f =
@@ -677,11 +693,11 @@ let evaluate_goal t peer ~requester goal ~respond =
         | [] -> None
         | (target, lit) :: rest -> (
             let key = goal_key lit in
-            match Hashtbl.find_opt t.pending (peer.Peer.name, target, key) with
-            | Some { contents = true } -> first_unanswered rest
+            match Hashtbl.find_opt t.asks (peer.Peer.name, target, key) with
+            | Some { resolved = true; _ } -> first_unanswered rest
             | Some _ -> Some (target, key)
             | None ->
-                post_query t ~from:peer.Peer.name ~target ~key lit;
+                ask t ~from:peer.Peer.name ~target ~key lit;
                 Some (target, key))
       in
       match first_unanswered (List.rev !blocked) with
@@ -729,8 +745,7 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.equal (String.sub s 0 (String.length prefix)) prefix
 
-let denial_reason t ~target pkey =
-  match Hashtbl.find_opt t.denials pkey with
+let denial_reason ~target = function
   | Some (( "timeout" | "unreachable" | "quarantined" | "rate-limited"
           | "quota" | "crashed" ) as structured) ->
       Printf.sprintf "%s: %s" structured target
@@ -763,14 +778,12 @@ let reply ?via t ~peer ~requester payload =
 (* A top-level goal is settled by its single sub-query alone: [true]
    once that is resolved. *)
 let settle_root t id ~peer (target, key) =
-  let pkey = (peer, target, key) in
-  match Hashtbl.find_opt t.pending pkey with
-  | Some { contents = true } ->
-      (match Hashtbl.find_opt t.answers pkey with
-      | Some instances -> settle_request t id (Negotiation.Granted instances)
-      | None ->
-          settle_request t id
-            (Negotiation.Denied (denial_reason t ~target pkey)));
+  match Hashtbl.find_opt t.asks (peer, target, key) with
+  | Some { resolved = true; answer; denial; _ } ->
+      settle_request t id
+        (match answer with
+        | Some instances -> Negotiation.Granted instances
+        | None -> Negotiation.Denied (denial_reason ~target denial));
       true
   | Some _ | None -> false
 
@@ -888,8 +901,9 @@ let dispatch t ~synthetic (from, target, payload) =
                 { Answer_cache.instances; certs }
           | Some _ | None -> ());
           let pkey = (target, from, goal_key goal) in
-          Hashtbl.replace t.answers pkey instances;
-          resolve t pkey;
+          let r = ask_record t pkey in
+          r.answer <- Some instances;
+          resolve t pkey r;
           wake t target
       | Net.Message.Deny { goal; reason } ->
           (* When tabling is on, a denial may kill a table's dependency
@@ -897,9 +911,9 @@ let dispatch t ~synthetic (from, target, payload) =
           with_tabling t (fun tb ->
               Tabling.handle_deny tb ~consumer:target ~from goal reason);
           let pkey = (target, from, goal_key goal) in
-          if not (Hashtbl.mem t.answers pkey) then
-            Hashtbl.replace t.denials pkey reason;
-          resolve t pkey;
+          let r = ask_record t pkey in
+          if Option.is_none r.answer then r.denial <- Some reason;
+          resolve t pkey r;
           wake t target
       | Net.Message.Disclosure { certs; _ } ->
           let before = peer.Peer.kb in
@@ -970,16 +984,16 @@ let dispatch t ~synthetic (from, target, payload) =
             | Some _ | None -> ());
             jappend t target
               (Persist.Journal.Answer { owner = from; goal; instances });
-            Hashtbl.replace t.answers pkey
-              (List.map (fun i -> (i, None)) instances);
-            resolve t pkey;
+            let r = ask_record t pkey in
+            r.answer <- Some (List.map (fun i -> (i, None)) instances);
+            resolve t pkey r;
             wake t target
           end
           else
             (* A non-final push proves the link is alive — stand the
                retransmission timer down, but keep the request pending
                until the table completes. *)
-            Hashtbl.remove t.timers pkey
+            disarm t pkey
       | Net.Message.Tprobe { leader; epoch; members } ->
           with_tabling t (fun tb ->
               Tabling.handle_probe tb ~peer:target ~from
@@ -993,15 +1007,6 @@ let dispatch t ~synthetic (from, target, payload) =
               Tabling.handle_complete tb ~peer:target
                 (leader, epoch, members)))
 
-(* Insert a scheduled event keeping the list sorted by tick; among
-   equal ticks, earlier insertions fire first. *)
-let insert_event t tick ev =
-  let rec go = function
-    | (tk, e) :: rest when tk <= tick -> (tk, e) :: go rest
-    | later -> (tick, ev) :: later
-  in
-  t.events <- go t.events
-
 (* Put a root goal in flight under an already allocated request id —
    shared by {!submit} and crash recovery, which re-launches a goal
    recovered from the journal under its original id. *)
@@ -1010,17 +1015,10 @@ let launch_root ?trace t ~id ~requester ~target goal =
   (match t.tabling_st with
   | Some tb ->
       Tabling.register_root tb ~consumer:requester ~owner:target goal;
-      tabling_send ?trace t
-        [
-          {
-            Tabling.p_from = requester;
-            p_target = target;
-            p_payload = Net.Message.Tquery { goal; path = [] };
-          };
-        ]
+      ask ?trace ~path:[] t ~from:requester ~target ~key goal
   | None ->
-      if not (Hashtbl.mem t.pending (requester, target, key)) then
-        post_query ?trace t ~from:requester ~target ~key goal);
+      if not (Hashtbl.mem t.asks (requester, target, key)) then
+        ask ?trace t ~from:requester ~target ~key goal);
   if not (settle_root t id ~peer:requester (target, key)) then
     park ~request:id t ~peer:requester ~requester goal (target, key)
       { Kb.lookups = []; volatile = false }
@@ -1067,29 +1065,24 @@ let submit ?deadline t ~requester ~target goal =
   Option.iter
     (fun tick ->
       if tick < 0 then invalid_arg "Reactor.submit: deadline must be >= 0";
-      insert_event t tick (Ev_deadline id))
+      schedule t tick (Deadline id))
     deadline;
   launch_root ?trace t ~id ~requester ~target goal;
   id
 
 (* ------------------------------------------------------------------ *)
-(* Event loop: deliveries and retransmission timers on one timeline *)
-
-let next_timer t =
-  Hashtbl.fold
-    (fun key tm acc ->
-      match acc with
-      | Some (bt, bk, _) when (bt, bk) <= (tm.tm_next, key) -> acc
-      | Some _ | None -> Some (tm.tm_next, key, tm))
-    t.timers None
+(* Event loop: scheduled events, deliveries and timers on one agenda *)
 
 let clock_to t tick =
   Net.Clock.advance_to (Net.Network.clock t.session.Session.network) tick
 
+(* Any restart still on the agenda counts, even one whose tick the clock
+   has passed: every post advances the clock, ahead of the agenda. *)
 let restart_upcoming t name =
-  List.exists
-    (fun (_, ev) -> match ev with Ev_restart p -> String.equal p name | _ -> false)
-    t.events
+  Agenda.exists
+    (fun _ work ->
+      match work with Restart p -> String.equal p name | _ -> false)
+    t.agenda
 
 (* A timer came due: retransmit with doubled timeout while the retry
    budget lasts, then give up.  Exhaustion against a live target is a
@@ -1097,7 +1090,6 @@ let restart_upcoming t name =
    unless a restart is scheduled, in which case the sub-query is
    suspended and reissued the moment the target comes back. *)
 let fire_timer t ((peer, target, _key) as pkey) tm =
-  clock_to t tm.tm_next;
   (* Timer work runs outside any negotiation span, so the captured
      context re-attaches it to the originating trace; the retransmit
      (resp. denial) is posted inside the span and inherits from it. *)
@@ -1119,6 +1111,7 @@ let fire_timer t ((peer, target, _key) as pkey) tm =
     tm.tm_attempt <- tm.tm_attempt + 1;
     tm.tm_rto <- tm.tm_rto * 2;
     tm.tm_next <- now t + tm.tm_rto;
+    put_timer t pkey tm;
     Metric.incr m_retries;
     Log.debug (fun m ->
         m "retry #%d %s -> %s: %s" tm.tm_attempt peer target
@@ -1128,15 +1121,10 @@ let fire_timer t ((peer, target, _key) as pkey) tm =
           (Printf.sprintf "reactor.retry #%d %s -> %s: %s" tm.tm_attempt peer
              target
              (Literal.to_string tm.tm_goal));
-        let payload =
-          match tm.tm_path with
-          | Some path -> Net.Message.Tquery { goal = tm.tm_goal; path }
-          | None -> Net.Message.Query { goal = tm.tm_goal }
-        in
-        post ~attempt:tm.tm_attempt t ~from:peer ~target payload)
+        post ~attempt:tm.tm_attempt t ~from:peer ~target tm.tm_payload)
   end
   else begin
-    Hashtbl.remove t.timers pkey;
+    disarm t pkey;
     Metric.incr m_timeouts;
     let crashed =
       Net.Faults.in_crash
@@ -1177,9 +1165,9 @@ let fire_timer t ((peer, target, _key) as pkey) tm =
 (* The guard's solicitation oracle: does [target] have this sub-query
    outstanding toward [from]? *)
 let solicited_by t ~from ~target goal =
-  match Hashtbl.find_opt t.pending (target, from, goal_key goal) with
+  match Hashtbl.find_opt t.asks (target, from, goal_key goal) with
   | None -> `Unknown
-  | Some resolved -> if !resolved then `Resolved else `Outstanding
+  | Some r -> if r.resolved then `Resolved else `Outstanding
 
 (* A rejected query still owes its sender a reply — the honest reading
    of a rejection is a denial, and an honest requester that trips a
@@ -1249,7 +1237,6 @@ let stale_incarnation t (env : Net.Envelope.t) =
       end
 
 let deliver_envelope t env =
-  clock_to t env.Net.Envelope.deliver_at;
   let wire = env.Net.Envelope.id >= 0 in
   if
     wire
@@ -1367,33 +1354,21 @@ let crash_peer t name =
   Log.debug (fun m -> m "%s crashes at %d" name (now t));
   (* In-flight envelopes addressed to the dead peer: wire ones were sent
      at a live incarnation and die with it (stale epoch); synthetic ones
-     are its own bookkeeping and vanish silently. *)
-  let doomed =
-    Dq.fold
-      (fun k (env : Net.Envelope.t) acc ->
-        if String.equal env.Net.Envelope.target name then
-          (k, env.Net.Envelope.id >= 0) :: acc
-        else acc)
-      t.dq []
-  in
-  List.iter
-    (fun (k, wire) ->
-      t.dq <- Dq.remove k t.dq;
-      if wire then Metric.incr m_stale_epoch)
-    doomed;
-  let drop_mine tbl =
-    let stale =
-      Hashtbl.fold
-        (fun ((p, _, _) as k) _ acc ->
-          if String.equal p name then k :: acc else acc)
-        tbl []
-    in
-    List.iter (Hashtbl.remove tbl) stale
-  in
-  drop_mine t.timers;
-  drop_mine t.pending;
-  drop_mine t.answers;
-  drop_mine t.denials;
+     are its own bookkeeping and vanish silently.  So do its sub-queries
+     and their timers. *)
+  t.agenda <-
+    Agenda.filter
+      (fun _ work ->
+        match work with
+        | Deliver env when String.equal env.Net.Envelope.target name ->
+            if env.Net.Envelope.id >= 0 then Metric.incr m_stale_epoch;
+            false
+        | Fire ((asker, _, _), _) -> not (String.equal asker name)
+        | Crash _ | Restart _ | Deadline _ | Deliver _ -> true)
+      t.agenda;
+  Hashtbl.filter_map_inplace
+    (fun (asker, _, _) r -> if String.equal asker name then None else Some r)
+    t.asks;
   Hashtbl.remove t.rings name;
   Guard.reset_peer t.guard name;
   (match t.config.cache with
@@ -1487,23 +1462,20 @@ let restart_peer t name =
       Hashtbl.remove t.awaiting name;
       List.iter
         (fun (((peer, target, _) as pkey), tm) ->
-          match Hashtbl.find_opt t.pending pkey with
-          | Some { contents = false } ->
+          match Hashtbl.find_opt t.asks pkey with
+          | Some ({ resolved = false; _ } as r) ->
               Metric.incr m_reissued;
               Otracer.event (Obs.tracer ())
                 (Printf.sprintf "reactor.reissue %s -> %s: %s" peer target
                    (Literal.to_string tm.tm_goal));
+              (* it replaces any timer armed meanwhile *)
+              disarm t pkey;
               tm.tm_attempt <- 0;
               tm.tm_rto <- t.config.rto;
               tm.tm_next <- now t + t.config.rto;
-              Hashtbl.replace t.timers pkey tm;
-              let payload =
-                match tm.tm_path with
-                | Some path ->
-                    Net.Message.Tquery { goal = tm.tm_goal; path }
-                | None -> Net.Message.Query { goal = tm.tm_goal }
-              in
-              post ?trace:tm.tm_trace t ~from:peer ~target payload
+              r.timer <- Some tm;
+              put_timer t pkey tm;
+              post ?trace:tm.tm_trace t ~from:peer ~target tm.tm_payload
           | Some _ | None -> ())
         suspended
 
@@ -1521,15 +1493,17 @@ let expire_deadline t id =
          requester);
     let mine =
       Hashtbl.fold
-        (fun ((p, _, _) as k) tm acc ->
-          if String.equal p requester then (k, tm) :: acc else acc)
-        t.timers []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+        (fun ((asker, _, _) as pkey) r acc ->
+          match r.timer with
+          | Some tm when String.equal asker requester -> (pkey, r, tm) :: acc
+          | Some _ | None -> acc)
+        t.asks []
+      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
     in
     List.iter
-      (fun (((_, target, _) as pkey), tm) ->
+      (fun (((_, target, _) as pkey), r, tm) ->
         Metric.incr m_cancels;
-        resolve t pkey;
+        resolve t pkey r;
         post ?trace:tm.tm_trace t ~from:requester ~target
           (Net.Message.Cancel { goal = tm.tm_goal }))
       mine;
@@ -1551,40 +1525,22 @@ let expire_deadline t id =
     settle_request t id (Negotiation.Denied "deadline expired")
   end
 
-let process_event t = function
-  | Ev_crash name -> crash_peer t name
-  | Ev_restart name -> restart_peer t name
-  | Ev_deadline id -> expire_deadline t id
-
-(* Process the next event — a scheduled crash/restart/deadline, a
-   delivery or a timer, whichever is due first (scheduled events win
-   ties, then deliveries); [false] when all timelines are empty. *)
+(* Process the first item on the agenda: at one tick, a scheduled
+   crash/restart/deadline, then a delivery, then a timer; [false] when
+   the agenda is empty. *)
 let step t =
-  let ev_tick = match t.events with [] -> max_int | (tk, _) :: _ -> tk in
-  let dv = Dq.min_binding_opt t.dq in
-  let tmr = next_timer t in
-  let dq_tick = match dv with Some ((at, _, _), _) -> at | None -> max_int in
-  let tm_tick = match tmr with Some (tt, _, _) -> tt | None -> max_int in
-  if ev_tick = max_int && dv = None && tmr = None then false
-  else if ev_tick <= dq_tick && ev_tick <= tm_tick then begin
-    (match t.events with
-    | (tick, ev) :: rest ->
-        t.events <- rest;
-        clock_to t tick;
-        process_event t ev
-    | [] -> assert false);
-    true
-  end
-  else
-    match (dv, tmr) with
-    | Some (dkey, env), _ when dq_tick <= tm_tick ->
-        t.dq <- Dq.remove dkey t.dq;
-        deliver_envelope t env;
-        true
-    | _, Some (_, tkey, tm) ->
-        fire_timer t tkey tm;
-        true
-    | _ -> assert false
+  match Agenda.min_binding_opt t.agenda with
+  | None -> false
+  | Some (((tick, _) as key), work) ->
+      t.agenda <- Agenda.remove key t.agenda;
+      clock_to t tick;
+      (match work with
+      | Crash name -> crash_peer t name
+      | Restart name -> restart_peer t name
+      | Deadline id -> expire_deadline t id
+      | Deliver env -> deliver_envelope t env
+      | Fire (pkey, tm) -> fire_timer t pkey tm);
+      true
 
 (* At quiescence, parked goals form dependency cycles (or wait on goals
    that do).  Force-deny one non-top-level goal to break the cycle — the
@@ -1658,8 +1614,8 @@ let run ?max_steps t =
   Metric.set g_outstanding
     (float_of_int
        (Hashtbl.fold
-          (fun _ resolved acc -> if !resolved then acc else acc + 1)
-          t.pending 0));
+          (fun _ r acc -> if r.resolved then acc else acc + 1)
+          t.asks 0));
   Metric.set g_parked (float_of_int t.n_parked);
   steps
 
@@ -1671,7 +1627,10 @@ let outcome t id =
   | None -> Negotiation.Denied "negotiation quiescent"
 
 let parked_count t = t.n_parked
-let pending_timers t = Hashtbl.length t.timers
+let pending_timers t =
+  Hashtbl.fold
+    (fun _ r n -> if Option.is_some r.timer then n + 1 else n)
+    t.asks 0
 
 let tabling_summary t =
   match t.tabling_st with None -> [] | Some tb -> Tabling.summary tb

@@ -194,9 +194,10 @@ val submit :
     [deadline]. *)
 
 val step : t -> bool
-(** Process one event — the earliest scheduled crash/restart/deadline,
-    queued delivery or retransmission timer (scheduled events win ties,
-    then deliveries); [false] when all timelines are empty. *)
+(** Process the first item of the reactor's one agenda — the earliest
+    scheduled crash/restart/deadline, delivery or retransmission timer;
+    at one tick scheduled events come first, in insertion order, then
+    deliveries in post order, then timers.  [false] when it is empty. *)
 
 val run : ?max_steps:int -> t -> int
 (** Process events until quiescence (or [max_steps], default 100_000);

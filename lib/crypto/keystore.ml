@@ -43,4 +43,6 @@ let fresh_serial t =
   t.next_serial <- s + 1;
   s
 
+let claim_serial t s = if s >= t.next_serial then t.next_serial <- s + 1
+
 let principals t = List.rev t.order

@@ -27,5 +27,9 @@ val is_revoked : t -> serial:int -> bool
 val fresh_serial : t -> int
 (** Monotonically increasing certificate serial numbers. *)
 
+val claim_serial : t -> int -> unit
+(** Mark a serial as taken (by a certificate loaded from disk):
+    {!fresh_serial} returns only larger ones from then on. *)
+
 val principals : t -> string list
 (** Principals with generated keys, in generation order. *)

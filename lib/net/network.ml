@@ -102,6 +102,7 @@ let log_entry t entry =
   end
 
 let dropped_log_entries t = t.log_dropped
+let logged t = Queue.length t.log + t.log_dropped
 
 let deliver ?(note = "") t ~from ~target payload =
   (match t.max_messages with

@@ -87,5 +87,9 @@ val transcript : t -> entry list
 val dropped_log_entries : t -> int
 (** Transcript entries discarded by the ring buffer so far. *)
 
+val logged : t -> int
+(** Transcript entries logged since the last {!clear_transcript},
+    retained or discarded. *)
+
 val clear_transcript : t -> unit
 val pp_transcript : Format.formatter -> t -> unit

@@ -401,6 +401,26 @@ let test_scenario1_transcript_shape () =
     ]
     summaries
 
+let test_scenario1_report_past_full_ring () =
+  (* The transcript ring holds 10 000 entries: once earlier traffic has
+     filled it, a negotiation's report must still carry its own
+     entries and disclosures. *)
+  let s = Scenario.scenario1 () in
+  let net = s.Scenario.s1_session.Session.network in
+  for _ = 1 to 10_000 do
+    ignore
+      (Net.Network.post net ~from:"Alice" ~target:"UIUC" (Net.Message.Raw "x"))
+  done;
+  let r =
+    request_str s.Scenario.s1_session ~requester:"Alice" ~target:"E-Learn"
+      {|discountEnroll(spanish101, "Alice")|}
+  in
+  Alcotest.(check bool) "granted" true (granted r.Negotiation.outcome);
+  Alcotest.(check int) "six messages" 6 r.Negotiation.messages;
+  Alcotest.(check int) "six transcript entries" 6
+    (List.length r.Negotiation.transcript);
+  Alcotest.(check int) "three credentials disclosed" 3 r.Negotiation.disclosures
+
 let test_scenario1_elearn_cannot_query_uiuc () =
   let s = Scenario.scenario1 () in
   let r =
@@ -982,6 +1002,8 @@ let () =
         [
           tc "success" test_scenario1_success;
           tc "transcript shape" test_scenario1_transcript_shape;
+          tc "report past a full transcript ring"
+            test_scenario1_report_past_full_ring;
           tc "UIUC refuses E-Learn" test_scenario1_elearn_cannot_query_uiuc;
           tc "impostor denied" test_scenario1_impostor_denied;
           tc "wrong party denied" test_scenario1_wrong_party_denied;

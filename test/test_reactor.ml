@@ -995,6 +995,79 @@ let test_deadline_expiry_cancels () =
   Alcotest.(check bool) "responder dropped the parked goal" true
     (counter snap "reactor.cancelled_goals" > 0)
 
+let test_same_tick_order () =
+  (* Tick 9 carries four kinds of work: the bystander's scheduled crash,
+     D's deadline, D's query reaching C over an 8-tick link, and the
+     retransmission timer A armed at tick 1 (rto 8) for its query to B,
+     whose answer lands only at tick 10.  Scheduled events run first, in
+     insertion order, then deliveries, then timers. *)
+  let session = Session.create () in
+  ignore (Session.add_peer session ~program:{|g1("x") $ true.|} "B");
+  ignore (Session.add_peer session ~program:{|g2("x") $ true.|} "C");
+  List.iter
+    (fun name -> ignore (Session.add_peer session name))
+    [ "A"; "D"; "bystander" ];
+  let net = session.Session.network in
+  Net.Network.set_faults net (crash_faults [ ("bystander", 9, max_int) ]);
+  Net.Network.set_link_latency net ~from:"D" ~target:"C" 8;
+  let tracer =
+    Pobs.Tracer.create ~now:(fun () -> Net.Clock.now (Net.Network.clock net)) ()
+  in
+  Pobs.Obs.set_tracer tracer;
+  Fun.protect ~finally:Pobs.Obs.disable_tracing @@ fun () ->
+  Pobs.Tracer.with_span tracer "tie" @@ fun () ->
+  let tie = Option.get (Pobs.Tracer.current tracer) in
+  let reactor = Reactor.create session in
+  ignore (Reactor.submit reactor ~requester:"A" ~target:"B" (lit {|g1("x")|}));
+  ignore
+    (Reactor.submit ~deadline:9 reactor ~requester:"D" ~target:"C"
+       (lit {|g2("x")|}));
+  (* What one step did: the reactor events it attached to the test span,
+     then the receive and retry spans it opened, each with its peer. *)
+  let seen = Hashtbl.create 16 and events_seen = ref 0 in
+  let step () =
+    ignore (Reactor.step reactor);
+    let events = Pobs.Span.events tie in
+    let fresh = List.filteri (fun i _ -> i >= !events_seen) events in
+    events_seen := List.length events;
+    let marks =
+      List.filter_map
+        (fun (e : Pobs.Span.event) ->
+          match String.split_on_char ' ' e.Pobs.Span.message with
+          | word :: _ when String.starts_with ~prefix:"reactor." word ->
+              Some word
+          | _ -> None)
+        fresh
+    in
+    let spans =
+      List.filter_map
+        (fun (s : Pobs.Span.t) ->
+          if not (Hashtbl.mem seen s.Pobs.Span.id) then begin
+            Hashtbl.replace seen s.Pobs.Span.id ();
+            match List.assoc_opt "peer" (Pobs.Span.attrs s) with
+            | Some (Pobs.Json.Str peer)
+              when String.starts_with ~prefix:"recv." s.Pobs.Span.name
+                   || String.equal s.Pobs.Span.name "reactor.retry" ->
+                Some (s.Pobs.Span.name ^ " " ^ peer)
+            | Some _ | None -> None
+          end
+          else None)
+        (Pobs.Tracer.spans tracer)
+    in
+    marks @ spans
+  in
+  let order = List.concat (List.init 5 (fun _ -> step ())) in
+  Alcotest.(check (list string))
+    "crash, deadline, delivery, retry"
+    [
+      "recv.query B";
+      "reactor.crash";
+      "reactor.deadline";
+      "recv.query C";
+      "reactor.retry A";
+    ]
+    order
+
 let with_temp_dir f =
   let dir = Filename.temp_file "ptjournal" "" in
   Sys.remove dir;
@@ -1550,6 +1623,7 @@ let () =
           tc "requester root recovery" test_crash_requester_root_recovery;
           tc "suspend and reissue" test_crash_suspend_reissue;
           tc "deadline expiry cancels" test_deadline_expiry_cancels;
+          tc "same-tick order" test_same_tick_order;
           tc "cross-process journal resume"
             test_journal_dir_cross_process_resume;
         ] );

@@ -366,6 +366,62 @@ let test_persist_journal_dir_resume () =
            session);
       Alcotest.(check (list (list string))) "wallets unchanged" before (wallets ())
 
+(* "owner" holds a certificate for its own signed rule that expires at
+   tick 500. *)
+let saved_expiring_world dir =
+  let session = Session.create () in
+  let owner = Session.add_peer session "owner" in
+  (match
+     Peertrust_crypto.Cert.issue ~not_after:500 session.Session.keystore
+       (Parser.parse_rule {|member("owner") @ "CA" signedBy ["CA"].|})
+   with
+  | Ok c -> Peer.add_cert owner c
+  | Error _ -> Alcotest.fail "issue");
+  Persist.save session ~dir;
+  Hashtbl.fold (fun _ c acc -> c :: acc) owner.Peer.certs []
+
+let loaded_certs session =
+  Hashtbl.fold
+    (fun _ (p : Peer.t) acc ->
+      Hashtbl.fold (fun _ c acc -> c :: acc) p.Peer.certs acc)
+    session.Session.peers []
+
+let test_persist_keeps_saved_certs () =
+  with_temp_dir @@ fun dir ->
+  let saved = saved_expiring_world dir in
+  match Persist.load ~dir () with
+  | Error e -> Alcotest.failf "load failed: %a" Persist.pp_error e
+  | Ok loaded ->
+      let fields (c : Peertrust_crypto.Cert.t) =
+        (c.Peertrust_crypto.Cert.serial, c.Peertrust_crypto.Cert.not_after)
+      in
+      Alcotest.(check (list (pair int int)))
+        "the saved certificate, not a new one" (List.map fields saved)
+        (List.map fields (loaded_certs loaded))
+
+let test_persist_fresh_serials_after_load () =
+  with_temp_dir @@ fun dir ->
+  ignore (saved_expiring_world dir);
+  match Persist.load ~dir () with
+  | Error e -> Alcotest.failf "load failed: %a" Persist.pp_error e
+  | Ok loaded -> (
+      let serial (c : Peertrust_crypto.Cert.t) =
+        c.Peertrust_crypto.Cert.serial
+      in
+      let taken = List.map serial (loaded_certs loaded) in
+      let newcomer =
+        Session.add_peer loaded
+          ~program:{|member("new") @ "CA" signedBy ["CA"].|} "newcomer"
+      in
+      match
+        Hashtbl.fold (fun _ c acc -> serial c :: acc) newcomer.Peer.certs []
+      with
+      | [ s ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "serial %d is not a loaded one" s)
+            false (List.mem s taken)
+      | _ -> Alcotest.fail "the newcomer should hold one certificate")
+
 let test_persist_non_hex_name () =
   with_temp_dir @@ fun dir ->
   ignore (saved_wallet_world dir);
@@ -530,6 +586,8 @@ let () =
           tc "odd peer names" test_persist_odd_peer_names;
           tc "saving over a larger world" test_persist_save_over_larger_world;
           tc "journal resume keeps every wallet" test_persist_journal_dir_resume;
+          tc "saved certificates kept" test_persist_keeps_saved_certs;
+          tc "fresh serials after load" test_persist_fresh_serials_after_load;
           tc "journal compaction" test_journal_compaction;
         ] );
       ( "persist corruption",
