@@ -352,7 +352,7 @@ let jappend t peer entry =
    session peer nor an adversary, is unreachable and costs no message:
    a query to it turns into a synthetic denial; other payloads are
    counted and traced as reactor drops. *)
-let post ?attempt ?trace t ~from ~target payload =
+let post ?at ?attempt ?trace t ~from ~target payload =
   Metric.incr m_posts;
   let trace = resolve_trace trace in
   match
@@ -360,7 +360,7 @@ let post ?attempt ?trace t ~from ~target payload =
       Hashtbl.mem t.session.Session.peers target
       || Hashtbl.mem t.adversaries target
     then
-      Net.Network.post t.session.Session.network ~from ~target ?attempt
+      Net.Network.post t.session.Session.network ~from ~target ?at ?attempt
         ~incarnation:(incarnation_of t from) ?trace payload
     else raise (Net.Network.Unreachable target)
   with
@@ -758,8 +758,10 @@ let denial_reason ~target = function
 (* Charge a device<->proxy forwarding hop: accounted on the network
    like any message but delivered to nobody, as the proxy answers in
    place.  [false] when the hop could not be made. *)
-let hop t ~from ~target payload =
-  match Net.Network.post t.session.Session.network ~from ~target payload with
+let hop ?at t ~from ~target payload =
+  match
+    Net.Network.post t.session.Session.network ~from ~target ?at payload
+  with
   | (_ : Net.Envelope.t list) -> true
   | exception Net.Network.Unreachable _ -> false
   | exception Net.Network.Budget_exhausted ->
@@ -767,13 +769,21 @@ let hop t ~from ~target payload =
       false
 
 (* Reply from [peer] to a query from [requester]; a proxied query's
-   reply travels back through the device it arrived at. *)
+   reply travels back through the device it arrived at.  The proxy
+   evaluates where the device received the query, so the inbound hop's
+   ticks are paid here: the reply leaves the proxy once that hop has
+   landed, and the device once both hops have. *)
 let reply ?via t ~peer ~requester payload =
   match via with
   | None -> post t ~from:peer ~target:requester payload
   | Some device ->
-      if hop t ~from:peer ~target:device payload then
-        post t ~from:device ~target:requester payload
+      let latency from target =
+        Net.Network.link_latency t.session.Session.network ~from ~target
+      in
+      let at = now t + latency device peer in
+      if hop ~at t ~from:peer ~target:device payload then
+        post ~at:(at + latency peer device) t ~from:device ~target:requester
+          payload
 
 (* A top-level goal is settled by its single sub-query alone: [true]
    once that is resolved. *)
@@ -1076,13 +1086,14 @@ let submit ?deadline t ~requester ~target goal =
 let clock_to t tick =
   Net.Clock.advance_to (Net.Network.clock t.session.Session.network) tick
 
-(* Any restart still on the agenda counts, even one whose tick the clock
-   has passed: every post advances the clock, ahead of the agenda. *)
+(* Does [name]'s current crash window end in a scheduled restart? *)
 let restart_upcoming t name =
-  Agenda.exists
-    (fun _ work ->
-      match work with Restart p -> String.equal p name | _ -> false)
-    t.agenda
+  let now = now t in
+  List.exists
+    (fun (peer, at_tick, restart_tick) ->
+      String.equal peer name && at_tick <= now && now < restart_tick
+      && restart_tick <> max_int)
+    (Net.Faults.crashes (Net.Network.faults t.session.Session.network))
 
 (* A timer came due: retransmit with doubled timeout while the retry
    budget lasts, then give up.  Exhaustion against a live target is a

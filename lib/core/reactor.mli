@@ -46,7 +46,20 @@
     peer nor an adversary, or that is down, is unreachable: a query to it
     is denied locally as [unreachable] and no message is charged.  A
     query to a {!Proxy} device is evaluated at its proxy, with the
-    device<->proxy hops charged.
+    device<->proxy hops charged as messages and as ticks: the reply
+    leaves the device only after both hops, so a proxied round trip at
+    latency 1 takes 4 ticks.
+
+    {2 Causal time}
+
+    The reactor's agenda is the only writer of the session clock:
+    posting a message stamps its delivery tick (send tick plus link
+    latency plus injected delay) without moving the clock, and {!step}
+    advances the clock to the tick of the item it takes off.  A
+    negotiation's ticks are therefore its causal critical path, the same
+    however many negotiations are interleaved with it, while message
+    counts stay the protocol cost.  Deadlines, crash ticks, guard
+    windows and cache TTLs are all read on this clock.
 
     {2 Resilience under faults}
 
@@ -59,8 +72,11 @@
     sub-query that exhausts its retry budget degrades into a structured
     denial — [timeout: <peer>] or [unreachable: <peer>] — that propagates
     through {!Negotiation.outcome} (see {!Negotiation.classify_denial})
-    instead of hanging the negotiation.  With the fault-free plan the
-    timers stay disarmed and behaviour is identical to the plain queue.
+    instead of hanging the negotiation.  A timer measures the whole
+    answer, not just transport: a deep chain's answer is legitimately
+    more than [rto] ticks away.  So with the fault-free plan, where every
+    post is delivered, the timers stay disarmed and behaviour is
+    identical to the plain queue.
 
     {2 Answer caching}
 
@@ -139,8 +155,10 @@ type journal_mode =
 
 type config = {
   rto : int;
-      (** initial retransmission timeout in simulated ticks (doubles per
-          retry) *)
+      (** initial retransmission timeout in simulated ticks of causal
+          time (doubles per retry): on a healthy link at latency 1 a
+          sub-query with one counter-query is answered within 4.  Timers
+          are armed only under an active fault plan. *)
   retry_limit : int;  (** retransmissions per sub-query before giving up *)
   cache : Answer_cache.t option;
       (** answer cache consulted before a sub-query is posted (and before
@@ -168,9 +186,11 @@ type config = {
 
 val default_config : config
 (** [{ rto = 8; retry_limit = 3; cache = None; tabling = false;
-    journal = Journal_off }] — a sub-query is abandoned
-    as timed out after 8 + 16 + 32 + 64 unanswered ticks; caching,
-    tabling and journalling are opt-in. *)
+    journal = Journal_off }] — under an active fault plan a sub-query is
+    retransmitted after 8, 16 and 32 unanswered ticks and abandoned as
+    timed out 64 ticks after the last retransmission (8 + 16 + 32 + 64
+    ticks of causal time after it was first asked); caching, tabling and
+    journalling are opt-in. *)
 
 val create : ?config:config -> Session.t -> t
 (** A reactor over the session's peers; create it after all peers are
@@ -195,9 +215,10 @@ val submit :
 
 val step : t -> bool
 (** Process the first item of the reactor's one agenda — the earliest
-    scheduled crash/restart/deadline, delivery or retransmission timer;
-    at one tick scheduled events come first, in insertion order, then
-    deliveries in post order, then timers.  [false] when it is empty. *)
+    scheduled crash/restart/deadline, delivery or retransmission timer —
+    after advancing the session clock to its tick; at one tick scheduled
+    events come first, in insertion order, then deliveries in post
+    order, then timers.  [false] when it is empty. *)
 
 val run : ?max_steps:int -> t -> int
 (** Process events until quiescence (or [max_steps], default 100_000);

@@ -40,6 +40,19 @@ let hex_to_bignum h =
       (fun b -> Bignum.of_bytes_be (Bytes.unsafe_of_string b))
       (Hex.decode h)
 
+(* The inverse of [%d]: "0", or an optional '-' then a non-zero digit
+   and further digits, within int range.  Any other spelling ("01",
+   "+0", "-0", "0x1", "0_1") would be a second text for the same
+   certificate. *)
+let decimal_to_int v =
+  let n = String.length v in
+  let digit i = v.[i] >= '0' && v.[i] <= '9' in
+  let rec digits i = i >= n || (digit i && digits (i + 1)) in
+  let from = if n > 0 && v.[0] = '-' then 1 else 0 in
+  if String.equal v "0" || (from < n && v.[from] <> '0' && digits from) then
+    int_of_string_opt v
+  else None
+
 (* Lines travel as [(lineno, content)] pairs so every diagnostic can
    name the offending line of the source text. *)
 let err_at lineno msg =
@@ -51,7 +64,7 @@ let decode_block ~start lines =
     | (n, line) :: rest -> (
         match parse_field ~name line with
         | Some v -> (
-            match int_of_string_opt v with
+            match decimal_to_int v with
             | Some i -> Ok (i, rest)
             | None -> err_at n (name ^ ": not an integer"))
         | None -> err_at n ("expected " ^ name))

@@ -16,7 +16,9 @@
     v}
 
     Issuer names are hex-encoded so arbitrary names (spaces, colons)
-    round-trip. *)
+    round-trip.  The integer fields accept only what [%d] prints, and a
+    signature only what {!Bignum.to_hex} writes, so none of those fields
+    has a second spelling. *)
 
 type error = Malformed of string
 (** Diagnostics name the offending line of the source text

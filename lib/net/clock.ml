@@ -2,9 +2,4 @@ type t = { mutable ticks : int }
 
 let create () = { ticks = 0 }
 let now t = t.ticks
-
-let advance t d =
-  if d < 0 then invalid_arg "Clock.advance: negative increment"
-  else t.ticks <- t.ticks + d
-
 let advance_to t tick = if tick > t.ticks then t.ticks <- tick

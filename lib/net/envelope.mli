@@ -13,8 +13,10 @@ type t = {
   seq : int;  (** per-directed-link sequence number, from 0 *)
   from_ : string;
   target : string;
-  sent_at : int;  (** clock when the send was accounted *)
-  deliver_at : int;  (** clock when the copy becomes deliverable *)
+  sent_at : int;  (** tick the copy left the sender *)
+  deliver_at : int;
+      (** tick the copy reaches the target: [sent_at] plus the link
+          latency plus any injected delay *)
   attempt : int;  (** 0 for the original send, >0 for retransmissions *)
   incarnation : int;
       (** the sender's restart count when the send was posted: 0 for a

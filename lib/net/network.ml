@@ -104,13 +104,14 @@ let log_entry t entry =
 let dropped_log_entries t = t.log_dropped
 let logged t = Queue.length t.log + t.log_dropped
 
-let deliver ?(note = "") t ~from ~target payload =
+(* Charge and log one transmission; [at] is the tick the copy reaches,
+   or would have reached, the target. *)
+let deliver ?(note = "") t ~at ~from ~target payload =
   (match t.max_messages with
   | Some budget when Stats.messages t.stats >= budget -> raise Budget_exhausted
   | Some _ | None -> ());
   let bytes_ = Message.size payload in
   let kind = Message.kind payload in
-  Clock.advance t.clock (link_latency t ~from ~target);
   Stats.record t.stats kind ~bytes_ ~from ~target;
   Metric.incr m_messages;
   Metric.add m_bytes bytes_;
@@ -122,7 +123,7 @@ let deliver ?(note = "") t ~from ~target payload =
     Otracer.event tracer (Printf.sprintf "%s -> %s: %s" from target summary);
   log_entry t
     {
-      time = Clock.now t.clock;
+      time = at;
       from;
       target;
       summary;
@@ -148,12 +149,13 @@ let lost_event ~from ~target ~why payload =
       (Printf.sprintf "%s -> %s: %s lost in transit (%s)" from target
          (Message.summary payload) why)
 
-let post t ~from ~target ?(attempt = 0) ?(incarnation = 0) ?trace payload =
+let post t ~from ~target ?at ?(attempt = 0) ?(incarnation = 0) ?trace payload =
   if is_down t target then raise (Unreachable target);
   let decision = Faults.decide t.faults ~from ~target in
-  let now = Clock.now t.clock in
-  let outage = Faults.in_outage t.faults target ~now in
-  let crashed = Faults.in_crash t.faults target ~now in
+  let sent_at = Option.value at ~default:(Clock.now t.clock) in
+  let arrival = sent_at + link_latency t ~from ~target in
+  let outage = Faults.in_outage t.faults target ~now:sent_at in
+  let crashed = Faults.in_crash t.faults target ~now:sent_at in
   let id = t.next_id in
   t.next_id <- id + 1;
   let seq = next_seq t ~from ~target in
@@ -161,31 +163,35 @@ let post t ~from ~target ?(attempt = 0) ?(incarnation = 0) ?trace payload =
     match decision.Faults.dec_delays with
     | [] ->
         (* Sampled as lost: the send is still charged and logged. *)
-        deliver ~note:" [lost]" t ~from ~target payload;
+        deliver ~note:" [lost]" t ~at:arrival ~from ~target payload;
         lost_event ~from ~target ~why:"fault" payload;
         []
     | delays when crashed ->
         (* The target is down between crash and restart: every copy is
            lost in transit, exactly like an outage window. *)
         List.iter
-          (fun _ -> deliver ~note:" [lost: crashed]" t ~from ~target payload)
+          (fun extra ->
+            deliver ~note:" [lost: crashed]" t ~at:(arrival + extra) ~from
+              ~target payload)
           delays;
         lost_event ~from ~target ~why:"crash" payload;
         []
     | delays when outage ->
         (* Transient outage window: every copy is lost in transit. *)
         List.iter
-          (fun _ -> deliver ~note:" [lost: outage]" t ~from ~target payload)
+          (fun extra ->
+            deliver ~note:" [lost: outage]" t ~at:(arrival + extra) ~from
+              ~target payload)
           delays;
         lost_event ~from ~target ~why:"outage" payload;
         []
     | delays ->
         List.mapi
           (fun i extra ->
-            let sent_at = Clock.now t.clock in
+            let deliver_at = arrival + extra in
             deliver
               ~note:(if i > 0 then " [dup]" else "")
-              t ~from ~target payload;
+              t ~at:deliver_at ~from ~target payload;
             if i > 0 then Metric.incr m_duplicates;
             if extra > 0 then Metric.incr m_delayed;
             {
@@ -194,7 +200,7 @@ let post t ~from ~target ?(attempt = 0) ?(incarnation = 0) ?trace payload =
               from_ = from;
               target;
               sent_at;
-              deliver_at = Clock.now t.clock + extra;
+              deliver_at;
               attempt;
               incarnation;
               trace;

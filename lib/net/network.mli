@@ -1,10 +1,16 @@
 (** In-process simulated peer-to-peer network.
 
-    {!post} charges one message on the shared clock, records it in the
-    statistics and the transcript, and returns the envelopes that reach
-    the target; delivering them is the caller's business (the core
-    library's queued reactor).  Deterministic by construction — no real I/O,
-    no threads — which is what makes the benchmark tables reproducible.
+    {!post} charges one message, records it in the statistics and the
+    transcript, and returns the envelopes that reach the target, each
+    stamped with the tick it arrives at: the send tick plus the link's
+    latency plus any injected delay.  Posting never moves the clock;
+    delivering the envelopes, and advancing the clock to their ticks, is
+    the caller's business (the core library's queued reactor).  Ticks
+    therefore measure causal time — a chain of messages costs the sum of
+    its links' latencies, however much other traffic is in flight — and
+    message counts stay the protocol cost.  Deterministic by
+    construction — no real I/O, no threads — which is what makes the
+    benchmark tables reproducible.
 
     Failure injection: peers can be marked down ({!set_down}), a message
     budget can be imposed to abort runaway negotiations, and a seeded
@@ -21,6 +27,8 @@ exception Budget_exhausted
 
 type entry = {
   time : int;
+      (** the tick the copy reaches the target, or would have reached it
+          had it not been lost *)
   from : string;
   target : string;
   summary : string;
@@ -29,7 +37,7 @@ type entry = {
 }
 
 val create : ?latency:int -> ?max_messages:int -> ?log_cap:int -> unit -> t
-(** [latency] (default 1) is the tick cost of one message direction.
+(** [latency] (default 1) is the ticks one message takes to arrive.
     [log_cap] (default 10_000) bounds the transcript ring buffer: past the
     cap the oldest entries are discarded and counted by
     {!dropped_log_entries}.  @raise Invalid_argument when [log_cap < 1]. *)
@@ -55,6 +63,7 @@ val post :
   t ->
   from:string ->
   target:string ->
+  ?at:int ->
   ?attempt:int ->
   ?incarnation:int ->
   ?trace:Peertrust_obs.Trace_context.t ->
@@ -64,9 +73,13 @@ val post :
     log the transmission, then return the envelope copies that actually
     reach the target — [[]] when the message is lost (sampled drop, or the
     target is inside a scheduled outage or crash window), one envelope
-    normally, two sharing an id when duplicated.  [incarnation] (default
-    0) is the sender's restart count, stamped on every surviving copy.  Extra delivery delay is reflected
-    in [deliver_at].  Lost and duplicated sends increment [net.drops] /
+    normally, two sharing an id when duplicated.  [at] (default: the
+    clock's tick) is the send tick, later than now for a message that
+    leaves after a forwarding hop; outage and crash windows are judged at
+    it.  Each copy's [deliver_at] is [at] plus the link latency plus its
+    injected delay; the clock does not move.  [incarnation] (default 0)
+    is the sender's restart count, stamped on every surviving copy.
+    Lost and duplicated sends increment [net.drops] /
     [net.duplicates].  [trace] (default [None]) is stamped verbatim on
     every surviving copy; contexts travel only in-process, on
     [Envelope.trace].
@@ -81,7 +94,9 @@ val observe :
     registration order — e.g. an audit trail of the peers' replies. *)
 
 val transcript : t -> entry list
-(** Retained messages in posting order.  Long runs keep only the newest
+(** Retained messages in posting order, each stamped with its delivery
+    tick (so stamps need not be monotone: a delayed copy, or one on a slow
+    link, arrives after later posts).  Long runs keep only the newest
     [log_cap] entries. *)
 
 val dropped_log_entries : t -> int

@@ -6,9 +6,10 @@
    [base * ratio + abs] and collapses when it falls below
    [base / ratio - abs] — a counter dropping to zero usually means lost
    coverage, which is as much a regression as a slowdown.  Wall-clock
-   gauges (names ending in [.ms] / [.kwords] / [.ns]) get a much wider
-   default ratio plus absolute slack, since sub-millisecond measurements
-   are noisy across machines. *)
+   gauges (names ending in [.ms] / [.ns]) get a much wider default ratio
+   plus absolute slack, since sub-millisecond measurements are noisy
+   across machines.  Allocation gauges ([.kwords]) are exact for a given
+   tree, so they keep the counter band. *)
 
 type tolerance = { tol_ratio : float; tol_abs : float }
 
@@ -33,9 +34,7 @@ let has_suffix ~suffix s =
   l >= ls && String.equal (String.sub s (l - ls) ls) suffix
 
 let is_timing name =
-  has_suffix ~suffix:".ms" name
-  || has_suffix ~suffix:".kwords" name
-  || has_suffix ~suffix:".ns" name
+  has_suffix ~suffix:".ms" name || has_suffix ~suffix:".ns" name
 
 let tolerance_for spec name =
   match List.assoc_opt name spec.sp_overrides with

@@ -7,8 +7,10 @@
     and baseline value [b], the fresh value must stay inside
     [[b / ratio - abs, b * ratio + abs]] — growth past the band is a
     regression, collapse below it is lost coverage.  Metrics whose names
-    end in [.ms], [.kwords] or [.ns] are wall-clock measurements and get
-    the (much wider) timing tolerance.  Histograms are compared on
+    end in [.ms] or [.ns] are wall-clock measurements and get the (much
+    wider) timing tolerance.  Allocation gauges ([.kwords]) are exact for
+    a given tree and get the counter tolerance, so an allocation
+    regression fails the gate like a counter's.  Histograms are compared on
     [count], [mean] and the observed [max] (which is why snapshots carry
     min/max). *)
 

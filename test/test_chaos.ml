@@ -765,8 +765,11 @@ let test_trace_determinism () =
 
 let test_transcript_ring_buffer () =
   let net = Net.Network.create ~log_cap:8 () in
-  for _ = 1 to 20 do
-    ignore (Net.Network.post net ~from:"a" ~target:"b" (Net.Message.Raw ""))
+  (* The i-th post leaves at tick i - 1 and arrives at tick i. *)
+  for i = 1 to 20 do
+    ignore
+      (Net.Network.post net ~from:"a" ~target:"b" ~at:(i - 1)
+         (Net.Message.Raw ""))
   done;
   Alcotest.(check int) "ring keeps cap entries" 8
     (List.length (Net.Network.transcript net));

@@ -601,6 +601,55 @@ let test_wire_canonical_hex () =
   respell "upper case" (String.uppercase_ascii h);
   respell "leading zero nibble" ("0" ^ h)
 
+(* The integer fields accept only what [%d] prints.  A fresh keystore's
+   first certificate has serial 1 and not-before 0; each respelling
+   below names the same certificate, so its signature would verify. *)
+let test_wire_canonical_ints () =
+  let ks = Keystore.create ~bits:320 ~seed:23L () in
+  let cert =
+    match Cert.issue ks (parse_rule {|member("Bob") @ "ELENA" signedBy ["ELENA"].|}) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "issue failed: %a" Cert.pp_error e
+  in
+  Alcotest.(check (pair int int)) "serial 1, not-before 0" (1, 0)
+    (cert.Cert.serial, cert.Cert.not_before);
+  let text = Wire.encode cert in
+  (match Wire.decode text with
+  | Ok c -> Alcotest.(check bool) "original verifies" true (Cert.verify ks c = Ok ())
+  | Error e -> Alcotest.failf "original refused: %a" Wire.pp_error e);
+  let respell line line' =
+    let text' =
+      String.split_on_char '\n' text
+      |> List.map (fun l -> if l = line then line' else l)
+      |> String.concat "\n"
+    in
+    Alcotest.(check bool) (line' ^ ": a different text") false (text' = text);
+    match Wire.decode text' with
+    | Error (Wire.Malformed _) -> ()
+    | Ok _ -> Alcotest.failf "%s: decoded" line'
+  in
+  List.iter (respell "serial: 1") [ "serial: 0x1"; "serial: 0_1"; "serial: 01" ];
+  List.iter (respell "not-before: 0") [ "not-before: +0"; "not-before: -0" ]
+
+let prop_wire_int_roundtrip =
+  let rule = parse_rule {|member("Bob") @ "ELENA" signedBy ["ELENA"].|} in
+  QCheck.Test.make ~name:"wire: integer fields roundtrip" ~count:200
+    QCheck.(oneof [ always min_int; always max_int; int ])
+    (fun i ->
+      let cert =
+        {
+          Cert.serial = i;
+          rule;
+          not_before = i;
+          not_after = i;
+          signatures = [ ("ELENA", Bignum.of_int 7) ];
+        }
+      in
+      match Wire.decode (Wire.encode cert) with
+      | Ok c ->
+          c.Cert.serial = i && c.Cert.not_before = i && c.Cert.not_after = i
+      | Error _ -> false)
+
 let test_wire_malformed () =
   let expect src =
     match Wire.decode src with
@@ -762,6 +811,8 @@ let () =
           tc "tamper detected after import" test_wire_tamper_detected_after_import;
           tc "malformed inputs" test_wire_malformed;
           tc "signature hex has one spelling" test_wire_canonical_hex;
+          tc "integers have one spelling" test_wire_canonical_ints;
+          QCheck_alcotest.to_alcotest prop_wire_int_roundtrip;
         ] );
       ( "cert",
         [

@@ -9,12 +9,10 @@ let lit s = Dlp.Parser.parse_literal s
 let test_clock () =
   let c = Clock.create () in
   Alcotest.(check int) "starts at zero" 0 (Clock.now c);
-  Clock.advance c 5;
-  Clock.advance c 2;
-  Alcotest.(check int) "accumulates" 7 (Clock.now c);
-  Alcotest.check_raises "negative rejected"
-    (Invalid_argument "Clock.advance: negative increment") (fun () ->
-      Clock.advance c (-1))
+  Clock.advance_to c 5;
+  Alcotest.(check int) "jumps forward" 5 (Clock.now c);
+  Clock.advance_to c 2;
+  Alcotest.(check int) "never goes back" 5 (Clock.now c)
 
 let test_stats_counters () =
   let s = Stats.create () in
@@ -43,31 +41,45 @@ let test_message_kinds_and_sizes () =
   Alcotest.(check int) "no certs in query" 0 (Message.cert_count q)
 
 (* A request/response exchange is two one-way posts: "client" sends the
-   query, and the target answers the query it was delivered.  Returns
-   the answer's envelopes. *)
+   query, and the target answers the query it was delivered, at the tick
+   it was delivered.  Returns the answer's envelopes. *)
 let echo net ~target goal =
   match Network.post net ~from:"client" ~target (Message.Query { goal }) with
-  | [ { Envelope.payload = Message.Query { goal }; _ } ] ->
-      Network.post net ~from:target ~target:"client"
+  | [ { Envelope.payload = Message.Query { goal }; deliver_at; _ } ] ->
+      Network.post net ~from:target ~target:"client" ~at:deliver_at
         (Message.Answer { goal; instances = [ (goal, None) ]; certs = [] })
   | envs ->
       Alcotest.failf "expected 1 query envelope, got %d" (List.length envs)
+
+(* The tick the echoed answer reaches the client: the round trip. *)
+let round_trip net ~target goal =
+  match echo net ~target goal with
+  | [ env ] -> env.Envelope.deliver_at
+  | envs -> Alcotest.failf "expected 1 answer envelope, got %d" (List.length envs)
 
 let test_network_roundtrip () =
   let net = Network.create () in
   (match echo net ~target:"server" (lit "ping(1)") with
   | [
-      { Envelope.payload = Message.Answer { instances = [ (l, None) ]; _ }; _ };
+      {
+        Envelope.payload = Message.Answer { instances = [ (l, None) ]; _ };
+        sent_at;
+        deliver_at;
+        _;
+      };
     ] ->
-      Alcotest.(check string) "echoed" "ping(1)" (Dlp.Literal.to_string l)
+      Alcotest.(check string) "echoed" "ping(1)" (Dlp.Literal.to_string l);
+      Alcotest.(check int) "answered on arrival" 1 sent_at;
+      Alcotest.(check int) "two ticks" 2 deliver_at
   | _ -> Alcotest.fail "expected answer");
   Alcotest.(check int) "two messages" 2 (Stats.messages (Network.stats net));
-  Alcotest.(check int) "two ticks" 2 (Clock.now (Network.clock net))
+  Alcotest.(check int) "posting never moves the clock" 0
+    (Clock.now (Network.clock net))
 
 let test_network_latency () =
   let net = Network.create ~latency:5 () in
-  ignore (echo net ~target:"server" (lit "ping(1)"));
-  Alcotest.(check int) "10 ticks for a round trip" 10 (Clock.now (Network.clock net))
+  Alcotest.(check int) "10 ticks for a round trip" 10
+    (round_trip net ~target:"server" (lit "ping(1)"))
 
 let test_network_unknown_peer () =
   (* The network carries whatever it is given; which names are peers is
@@ -110,9 +122,9 @@ let test_network_link_latency () =
     (Network.link_latency net ~from:"client" ~target:"far");
   Alcotest.(check int) "default elsewhere" 1
     (Network.link_latency net ~from:"client" ~target:"near");
-  ignore (echo net ~target:"far" (lit "ping(1)"));
   (* 10 ticks out (overridden), 1 back (default). *)
-  Alcotest.(check int) "asymmetric round trip" 11 (Clock.now (Network.clock net));
+  Alcotest.(check int) "asymmetric round trip" 11
+    (round_trip net ~target:"far" (lit "ping(1)"));
   Alcotest.check_raises "negative rejected"
     (Invalid_argument "Network.set_link_latency: negative") (fun () ->
       Network.set_link_latency net ~from:"a" ~target:"b" (-1))

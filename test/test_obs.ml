@@ -634,6 +634,28 @@ let test_diff_timing_tolerance () =
   let report' = Diff.compare_snapshots ~baseline:(mk 600.) ~fresh:(mk 9000.) () in
   Alcotest.(check bool) "15x timing drift still fails" false report'.Diff.r_ok
 
+let test_diff_allocation_band () =
+  (* Allocation is exact per tree: a .kwords gauge gets the counter
+     band, not the wall-clock one, so a 1.6x allocation regression on a
+     full-scale workload fails. *)
+  Alcotest.(check bool) ".kwords is not timing" false
+    (Diff.is_timing "resolution.deep_chain.kwords");
+  let mk v =
+    let r = Registry.create () in
+    Metric.set (Registry.gauge r "resolution.deep_chain.kwords") v;
+    Registry.snapshot r
+  in
+  let base = 512.7302 in
+  let same = Diff.compare_snapshots ~baseline:(mk base) ~fresh:(mk base) () in
+  Alcotest.(check bool) "same allocation passes" true same.Diff.r_ok;
+  let grown =
+    Diff.compare_snapshots ~baseline:(mk base) ~fresh:(mk (base *. 1.6)) ()
+  in
+  Alcotest.(check bool) "1.6x allocation fails" false grown.Diff.r_ok;
+  Alcotest.(check (list string)) "violation names the gauge"
+    [ "resolution.deep_chain.kwords" ]
+    (List.map (fun v -> v.Diff.v_metric) grown.Diff.r_violations)
+
 let test_diff_missing_and_extra () =
   let baseline = diff_snapshot [ ("net.messages", 10); ("net.drops", 5) ] in
   let fresh = diff_snapshot [ ("net.messages", 10); ("guard.rejected", 2) ] in
@@ -951,6 +973,8 @@ let () =
             test_diff_regression_fails;
           Alcotest.test_case "timing tolerance is wide" `Quick
             test_diff_timing_tolerance;
+          Alcotest.test_case "allocation gets the counter band" `Quick
+            test_diff_allocation_band;
           Alcotest.test_case "missing vs extra metrics" `Quick
             test_diff_missing_and_extra;
           Alcotest.test_case "histogram facets" `Quick

@@ -254,15 +254,16 @@ let test_reactor_unreachable_target () =
         (Negotiation.transport_denial reason)
   | Negotiation.Granted _ -> Alcotest.fail "down peer cannot grant"
 
+(* The owner releases resource("r") to a requester who shows its CA
+   credential, which it counter-queries the requester for. *)
+let owner_program =
+  {|resource("r") $ cred(Requester) @ "CA" <-{true} haveIt("r").
+    haveIt("r").
+    cred(X) @ "CA" <- cred(X) @ "CA" @ X.|}
+
 let counter_query_world ?max_messages () =
   let session = Session.create ?max_messages () in
-  ignore
-    (Session.add_peer session
-       ~program:
-         {|resource("r") $ cred(Requester) @ "CA" <-{true} haveIt("r").
-           haveIt("r").
-           cred(X) @ "CA" <- cred(X) @ "CA" @ X.|}
-       "owner");
+  ignore (Session.add_peer session ~program:owner_program "owner");
   ignore
     (Session.add_peer session
        ~program:{|cred("req") @ "CA" $ true signedBy ["CA"].|}
@@ -996,11 +997,12 @@ let test_deadline_expiry_cancels () =
     (counter snap "reactor.cancelled_goals" > 0)
 
 let test_same_tick_order () =
-  (* Tick 9 carries four kinds of work: the bystander's scheduled crash,
+  (* Tick 8 carries four kinds of work: the bystander's scheduled crash,
      D's deadline, D's query reaching C over an 8-tick link, and the
-     retransmission timer A armed at tick 1 (rto 8) for its query to B,
-     whose answer lands only at tick 10.  Scheduled events run first, in
-     insertion order, then deliveries, then timers. *)
+     retransmission timer A armed at tick 0 (rto 8) for its query to B,
+     whose answer crosses a 9-tick link and lands only at tick 10.
+     Scheduled events run first, in insertion order, then deliveries,
+     then timers. *)
   let session = Session.create () in
   ignore (Session.add_peer session ~program:{|g1("x") $ true.|} "B");
   ignore (Session.add_peer session ~program:{|g2("x") $ true.|} "C");
@@ -1008,8 +1010,9 @@ let test_same_tick_order () =
     (fun name -> ignore (Session.add_peer session name))
     [ "A"; "D"; "bystander" ];
   let net = session.Session.network in
-  Net.Network.set_faults net (crash_faults [ ("bystander", 9, max_int) ]);
+  Net.Network.set_faults net (crash_faults [ ("bystander", 8, max_int) ]);
   Net.Network.set_link_latency net ~from:"D" ~target:"C" 8;
+  Net.Network.set_link_latency net ~from:"B" ~target:"A" 9;
   let tracer =
     Pobs.Tracer.create ~now:(fun () -> Net.Clock.now (Net.Network.clock net)) ()
   in
@@ -1020,7 +1023,7 @@ let test_same_tick_order () =
   let reactor = Reactor.create session in
   ignore (Reactor.submit reactor ~requester:"A" ~target:"B" (lit {|g1("x")|}));
   ignore
-    (Reactor.submit ~deadline:9 reactor ~requester:"D" ~target:"C"
+    (Reactor.submit ~deadline:8 reactor ~requester:"D" ~target:"C"
        (lit {|g2("x")|}));
   (* What one step did: the reactor events it attached to the test span,
      then the receive and retry spans it opened, each with its peer. *)
@@ -1323,15 +1326,15 @@ let test_wake_cross_goal_knowledge () =
     (lines
        [
          {|[   1] c1 -> P: query b("x") (14 bytes)|};
-         {|[   2] c2 -> P: query a("x") (14 bytes)|};
-         {|[   3] P -> Q: query slow("x") (17 bytes)|};
-         {|[   4] P -> R: query fact("x") (17 bytes)|};
-         {|[   5] Q -> Q1: query s1("x") (15 bytes)|};
-         {|[   6] R -> P: answer fact("x"): 1 instance(s), 0 cert(s) (26 bytes)|};
-         {|[   7] Q1 -> Q: answer s1("x"): 1 instance(s), 0 cert(s) (22 bytes)|};
-         {|[   8] P -> c2: answer a("x"): 1 instance(s), 0 cert(s) (20 bytes)|};
-         {|[   9] P -> c1: answer b("x"): 1 instance(s), 0 cert(s) (20 bytes)|};
-         {|[  10] Q -> P: answer slow("x"): 1 instance(s), 0 cert(s) (26 bytes)|};
+         {|[   1] c2 -> P: query a("x") (14 bytes)|};
+         {|[   2] P -> Q: query slow("x") (17 bytes)|};
+         {|[   2] P -> R: query fact("x") (17 bytes)|};
+         {|[   3] Q -> Q1: query s1("x") (15 bytes)|};
+         {|[   3] R -> P: answer fact("x"): 1 instance(s), 0 cert(s) (26 bytes)|};
+         {|[   4] Q1 -> Q: answer s1("x"): 1 instance(s), 0 cert(s) (22 bytes)|};
+         {|[   4] P -> c2: answer a("x"): 1 instance(s), 0 cert(s) (20 bytes)|};
+         {|[   4] P -> c1: answer b("x"): 1 instance(s), 0 cert(s) (20 bytes)|};
+         {|[   5] Q -> P: answer slow("x"): 1 instance(s), 0 cert(s) (26 bytes)|};
        ])
     text
 
@@ -1475,15 +1478,15 @@ let test_wake_quiescence_order () =
     (lines
        [
          {|[   1] C1 -> A: query a("o") (14 bytes)|};
-         {|[   2] C2 -> B: query c("o") (14 bytes)|};
-         {|[   3] A -> B: query b("o") (14 bytes)|};
-         {|[   4] B -> D: query d("o") (14 bytes)|};
-         {|[   5] B -> A: query a("o") (14 bytes)|};
-         {|[   6] D -> B: answer d("o"): 1 instance(s), 0 cert(s) (20 bytes)|};
-         {|[   7] B -> C2: answer c("o"): 1 instance(s), 0 cert(s) (20 bytes)|};
-         {|[   8] B -> A: deny b("o") (negotiation cycle) (31 bytes)|};
-         {|[   9] A -> B: deny a("o") (release policy not satisfied) (42 bytes)|};
-         {|[  10] A -> C1: deny a("o") (release policy not satisfied) (42 bytes)|};
+         {|[   1] C2 -> B: query c("o") (14 bytes)|};
+         {|[   2] A -> B: query b("o") (14 bytes)|};
+         {|[   2] B -> D: query d("o") (14 bytes)|};
+         {|[   3] B -> A: query a("o") (14 bytes)|};
+         {|[   3] D -> B: answer d("o"): 1 instance(s), 0 cert(s) (20 bytes)|};
+         {|[   4] B -> C2: answer c("o"): 1 instance(s), 0 cert(s) (20 bytes)|};
+         {|[   5] B -> A: deny b("o") (negotiation cycle) (31 bytes)|};
+         {|[   6] A -> B: deny a("o") (release policy not satisfied) (42 bytes)|};
+         {|[   6] A -> C1: deny a("o") (release policy not satisfied) (42 bytes)|};
        ])
     (transcript session)
 
@@ -1527,6 +1530,146 @@ let test_guard_bills_useful_work () =
   ignore (Reactor.run reactor);
   Alcotest.(check bool) "learner0 granted" true
     (granted (Reactor.outcome reactor (List.hd ids)))
+
+(* ------------------------------------------------------------------ *)
+(* Event-time clock: only the agenda moves it, so ticks are causal time *)
+
+(* k requesters, each asking "owner" for a resource whose release policy
+   counter-queries that requester for a credential: four messages on a
+   four-tick critical path per negotiation.  The bystander's far-future
+   crash keeps the fault plan, hence the retransmission timers, active
+   without injecting anything. *)
+let counter_query_fan_in k =
+  let session = Session.create () in
+  ignore (Session.add_peer session ~program:owner_program "owner");
+  let requester i = Printf.sprintf "req%d" i in
+  for i = 0 to k - 1 do
+    ignore
+      (Session.add_peer session
+         ~program:
+           (Printf.sprintf {|cred("%s") @ "CA" $ true signedBy ["CA"].|}
+              (requester i))
+         (requester i))
+  done;
+  ignore (Session.add_peer session "bystander");
+  Net.Network.set_faults session.Session.network
+    (crash_faults [ ("bystander", 1 lsl 40, max_int) ]);
+  (session, requester)
+
+(* Submit k negotiations together and step until all settle: the
+   messages posted, the retries fired, and the tick each one settled
+   at. *)
+let run_fan_in k =
+  let session, requester = counter_query_fan_in k in
+  let reactor = Reactor.create session in
+  let retries = counter "reactor.retries" in
+  let ids =
+    List.init k (fun i ->
+        Reactor.submit reactor ~requester:(requester i) ~target:"owner"
+          (lit {|resource("r")|}))
+  in
+  let settled_at = Hashtbl.create k in
+  let now () = Net.Clock.now (Net.Network.clock session.Session.network) in
+  while Hashtbl.length settled_at < k && Reactor.step reactor do
+    List.iter
+      (fun id ->
+        if Reactor.result reactor id <> None && not (Hashtbl.mem settled_at id)
+        then Hashtbl.replace settled_at id (now ()))
+      ids
+  done;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) "granted" true (granted (Reactor.outcome reactor id)))
+    ids;
+  ( Net.Stats.messages (Net.Network.stats session.Session.network),
+    counter "reactor.retries" - retries,
+    List.map (Hashtbl.find settled_at) ids )
+
+let test_clock_interleaving () =
+  (* Posting never advances the clock, so k interleaved negotiations
+     each take the ticks of one alone, and their timers never fire on a
+     healthy link.  When every post advanced it, k = 8 took 69 messages
+     and 69 ticks. *)
+  let messages, retries, ticks = run_fan_in 8 in
+  Alcotest.(check int) "four messages each" 32 messages;
+  Alcotest.(check int) "no retransmission" 0 retries;
+  Alcotest.(check (list int)) "each settles at tick 4" (List.init 8 (fun _ -> 4))
+    ticks;
+  let _, _, alone = run_fan_in 1 in
+  List.iter
+    (fun k ->
+      let messages, retries, ticks = run_fan_in k in
+      Alcotest.(check int) (Printf.sprintf "messages, %d at once" k) (4 * k)
+        messages;
+      Alcotest.(check int) (Printf.sprintf "retries, %d at once" k) 0 retries;
+      Alcotest.(check (list int))
+        (Printf.sprintf "ticks, %d at once" k)
+        (List.concat (List.init k (fun _ -> alone)))
+        ticks)
+    [ 4; 16 ]
+
+let test_clock_proxy_hops () =
+  (* A device answers through its proxy, which evaluates in place: the
+     reply leaves the device only after both forwarding hops, so the
+     round trip at latency 1 takes four ticks. *)
+  let session = Session.create () in
+  ignore (Session.add_peer session ~program:{|fact("x") $ true.|} "home");
+  ignore (Proxy.attach_device session ~device:"phone" ~proxy:"home");
+  ignore (Session.add_peer session "client");
+  let r =
+    Reactor.negotiate session ~requester:"client" ~target:"phone"
+      (lit {|fact("x")|})
+  in
+  Alcotest.(check bool) "granted through the proxy" true
+    (granted r.Negotiation.outcome);
+  Alcotest.(check int) "four ticks" 4 r.Negotiation.elapsed;
+  Alcotest.(check string) "hops stamped at their arrival"
+    (lines
+       [
+         {|[   1] client -> phone: query fact("x") (17 bytes)|};
+         {|[   2] phone -> home: query fact("x") (17 bytes)|};
+         {|[   3] home -> phone: answer fact("x"): 1 instance(s), 0 cert(s) (26 bytes)|};
+         {|[   4] phone -> client: answer fact("x"): 1 instance(s), 0 cert(s) (26 bytes)|};
+       ])
+    (transcript session)
+
+let test_clock_guard_window () =
+  (* The guard's rate window counts causal ticks: n root goals submitted
+     in one tick reach the guarded peer in one tick, so with the default
+     rate of 8 per window the ninth is rate-limited.  When every post
+     advanced the clock, the nine arrived on nine different ticks and
+     all were granted. *)
+  let run n =
+    let config = { Session.default_config with Session.guard = Guard.defaults } in
+    let session = Session.create ~config () in
+    ignore
+      (Session.add_peer session
+         ~program:
+           (String.concat "\n"
+              (List.init n (fun i -> Printf.sprintf "g(%d) $ true." i)))
+         "owner");
+    ignore (Session.add_peer session "req");
+    let reactor = Reactor.create session in
+    let ids =
+      List.init n (fun i ->
+          Reactor.submit reactor ~requester:"req" ~target:"owner"
+            (lit (Printf.sprintf "g(%d)" i)))
+    in
+    ignore (Reactor.run reactor);
+    List.map (Reactor.outcome reactor) ids
+  in
+  List.iteri
+    (fun i o -> Alcotest.(check bool) (Printf.sprintf "goal %d of 8" i) true (granted o))
+    (run 8);
+  match List.rev (run 9) with
+  | Negotiation.Denied reason :: first_eight ->
+      Alcotest.(check string) "the ninth is rate-limited" "rate-limited: owner"
+        reason;
+      List.iter
+        (fun o -> Alcotest.(check bool) "the first eight granted" true (granted o))
+        first_eight
+  | Negotiation.Granted _ :: _ | [] ->
+      Alcotest.fail "nine queries in one tick must trip the rate limit"
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -1626,5 +1769,11 @@ let () =
           tc "same-tick order" test_same_tick_order;
           tc "cross-process journal resume"
             test_journal_dir_cross_process_resume;
+        ] );
+      ( "clock",
+        [
+          tc "interleaved negotiations" test_clock_interleaving;
+          tc "proxied round trip" test_clock_proxy_hops;
+          tc "guard windows are causal ticks" test_clock_guard_window;
         ] );
     ]
