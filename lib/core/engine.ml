@@ -79,7 +79,7 @@ let tidy_instance (l : Literal.t) =
         | Some fresh -> fresh
         | None ->
             incr counter;
-            let fresh = Term.var (Printf.sprintf "_G%d" !counter) in
+            let fresh = Term.var ("_G" ^ string_of_int !counter) in
             Hashtbl.add mapping v fresh;
             fresh)
     | (Term.Var _ | Term.Str _ | Term.Int _ | Term.Atom _) as t -> t
@@ -147,7 +147,7 @@ let answer_body ?remote session peer ~requester goal =
         saw_release_rule := true;
         incr fresh_counter;
         let r =
-          Rule.rename ~suffix:(Printf.sprintf "~e%d" !fresh_counter) rule
+          Rule.rename ~suffix:("~e" ^ string_of_int !fresh_counter) rule
         in
         let ctx = Option.value ~default:[] r.Rule.head_ctx in
         let ctx_builtin, ctx_rest = split_ctx ctx in
@@ -254,7 +254,7 @@ let answer_body ?remote session peer ~requester goal =
     then begin
       incr fresh_counter;
       let r =
-        Rule.rename ~suffix:(Printf.sprintf "~c%d" !fresh_counter) rule
+        Rule.rename ~suffix:("~c" ^ string_of_int !fresh_counter) rule
       in
       let heads =
         r.Rule.head

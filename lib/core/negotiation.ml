@@ -101,10 +101,11 @@ let measure_inner session run =
   let bytes0 = Net.Stats.bytes stats in
   let t0 = Net.Clock.now clock in
   let log0 = Net.Network.logged net in
-  let outcome =
+  let outcome, settled_at =
     try run () with
-    | Net.Network.Budget_exhausted -> Denied "message budget exhausted"
-    | Net.Network.Unreachable peer -> Denied ("peer unreachable: " ^ peer)
+    | Net.Network.Budget_exhausted -> (Denied "message budget exhausted", None)
+    | Net.Network.Unreachable peer ->
+        (Denied ("peer unreachable: " ^ peer), None)
   in
   (* The newest entries of the ring; its length stops growing at the
      cap, so count what was logged. *)
@@ -119,7 +120,8 @@ let measure_inner session run =
     bytes = Net.Stats.bytes stats - bytes0;
     disclosures =
       List.fold_left (fun acc e -> acc + e.Net.Network.certs_) 0 transcript;
-    elapsed = Net.Clock.now clock - t0;
+    elapsed =
+      Option.value ~default:(Net.Clock.now clock) settled_at - t0;
     transcript;
   }
 

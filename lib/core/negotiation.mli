@@ -47,7 +47,7 @@ type report = {
   messages : int;  (** messages exchanged during this negotiation *)
   bytes : int;
   disclosures : int;  (** certificates transferred *)
-  elapsed : int;  (** simulated-clock ticks *)
+  elapsed : int;  (** simulated-clock ticks until the outcome settled *)
   transcript : Peertrust_net.Network.entry list;
 }
 
@@ -58,10 +58,14 @@ val count : outcome -> unit
     [negotiation.granted] / [negotiation.denied] counters.  The runtimes
     call it exactly once per negotiation, where its outcome settles. *)
 
-val measure : Session.t -> (unit -> outcome) -> report
+val measure : Session.t -> (unit -> outcome * int option) -> report
 (** Wrap a negotiation procedure (used by {!Reactor.negotiate} and
     {!Strategy}): snapshot network statistics around the call, collect the
     transcript delta and observe the [negotiation.*] size histograms.
+    The procedure returns its outcome and, where it knows it, the tick
+    at which the outcome settled: [elapsed] ends there, so work the run
+    does after it (a scheduled crash or restart, say) is not counted.
+    Without a tick, [elapsed] ends at the clock after the run.
     A message-budget exhaustion or an unreachable top-level target turns
     into a [Denied] outcome rather than an exception. *)
 

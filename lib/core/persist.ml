@@ -1,4 +1,5 @@
 module Crypto = Peertrust_crypto
+module Metric = Peertrust_obs.Metric
 
 type error = Bad_world of string
 
@@ -6,13 +7,13 @@ type error = Bad_world of string
    contents land in a sibling temp file first; the final [Sys.rename]
    is atomic on POSIX, so a crash between the two leaves either the old
    file or the complete new one, plus at worst an orphan [.tmp]. *)
-let write_file path contents =
+let write_file path output =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc contents;
+      output oc;
       flush oc);
   Sys.rename tmp path
 
@@ -50,29 +51,70 @@ module Journal = struct
 
   let appends t = t.appends
 
+  let m_reads = Peertrust_obs.Obs.counter "persist.reads"
+  let m_rewrites = Peertrust_obs.Obs.counter "persist.rewrites"
+  let m_bytes_written = Peertrust_obs.Obs.counter "persist.bytes_written"
+
   (* One line per entry; every free-form field (peer names, literal
      text) is hex-armoured so newlines and spaces in the payload cannot
      break the line discipline the torn-tail recovery depends on. *)
-  let line_of_entry = function
-    | Cert c -> "cert " ^ Crypto.Hex.encode (Crypto.Wire.encode c)
-    | Fact r -> "fact " ^ Crypto.Hex.encode (Dlp.Rule.to_string r)
-    | Answer { owner; goal; instances } ->
-        Printf.sprintf "answer %s %s %s" (Crypto.Hex.encode owner)
-          (Crypto.Hex.encode (Dlp.Literal.to_string goal))
-          (match instances with
-          | [] -> "-"
-          | is ->
-              String.concat ","
-                (List.map
-                   (fun i -> Crypto.Hex.encode (Dlp.Literal.to_string i))
-                   is))
+  let add_line buf entry =
+    let hex s = Crypto.Hex.encode_to buf s in
+    let literal l = hex (Dlp.Literal.to_string l) in
+    (match entry with
+    | Cert c ->
+        Buffer.add_string buf "cert ";
+        hex (Crypto.Wire.encode c)
+    | Fact r ->
+        Buffer.add_string buf "fact ";
+        hex (Dlp.Rule.to_string r)
+    | Answer { owner; goal; instances } -> (
+        Buffer.add_string buf "answer ";
+        hex owner;
+        Buffer.add_char buf ' ';
+        literal goal;
+        Buffer.add_char buf ' ';
+        match instances with
+        | [] -> Buffer.add_char buf '-'
+        | i :: is ->
+            literal i;
+            List.iter
+              (fun i ->
+                Buffer.add_char buf ',';
+                literal i)
+              is)
     | Goal { id; target; goal } ->
-        Printf.sprintf "goal %d %s %s" id (Crypto.Hex.encode target)
-          (Crypto.Hex.encode (Dlp.Literal.to_string goal))
-    | Done { id } -> Printf.sprintf "done %d" id
+        Buffer.add_string buf "goal ";
+        Buffer.add_string buf (string_of_int id);
+        Buffer.add_char buf ' ';
+        hex target;
+        Buffer.add_char buf ' ';
+        literal goal
+    | Done { id } ->
+        Buffer.add_string buf "done ";
+        Buffer.add_string buf (string_of_int id));
+    Buffer.add_char buf '\n'
 
-  let literal_of_hex h =
-    match Crypto.Hex.decode h with
+  (* Decoding walks the text by index: a line is [text.[i .. j)], and
+     each hex field is decoded from its slice. *)
+
+  let rec index_in text i j c =
+    if i = j then None
+    else if String.unsafe_get text i = c then Some i
+    else index_in text (i + 1) j c
+
+  let rec is_blank text i j =
+    i = j
+    || (match String.unsafe_get text i with
+       | ' ' | '\t' | '\r' | '\012' -> true
+       | _ -> false)
+       && is_blank text (i + 1) j
+
+  let hex_of text i j = Crypto.Hex.decode_sub text ~pos:i ~len:(j - i)
+  let int_of text i j = int_of_string_opt (String.sub text i (j - i))
+
+  let literal_of_hex text i j =
+    match hex_of text i j with
     | None -> Error "bad hex"
     | Some s -> (
         match Dlp.Parser.parse_literal s with
@@ -80,62 +122,77 @@ module Journal = struct
         | exception Dlp.Parser.Error (m, _, _) -> Error m
         | exception _ -> Error "unparseable literal")
 
-  let parse_line line =
+  (* The slices of [text.[i .. j)] between the separators [c], as
+     bounds. *)
+  let rec split text i j c acc =
+    match index_in text i j c with
+    | Some k -> split text (k + 1) j c ((i, k) :: acc)
+    | None -> List.rev ((i, j) :: acc)
+
+  let parse_line text i j =
     let ( let* ) = Result.bind in
-    match String.split_on_char ' ' line with
-    | [ "cert"; hex ] -> (
-        match Crypto.Hex.decode hex with
-        | None -> Error "cert: bad hex"
-        | Some blob -> (
-            match Crypto.Wire.decode blob with
-            | Ok c -> Ok (Cert c)
-            | Error (Crypto.Wire.Malformed m) -> Error ("cert: " ^ m)))
-    | [ "fact"; hex ] -> (
-        match Crypto.Hex.decode hex with
-        | None -> Error "fact: bad hex"
-        | Some text -> (
-            match Dlp.Parser.parse_rule text with
-            | r -> Ok (Fact r)
-            | exception Dlp.Parser.Error (m, _, _) -> Error ("fact: " ^ m)
-            | exception _ -> Error "fact: unparseable rule"))
-    | [ "answer"; owner_hex; goal_hex; insts ] -> (
-        match Crypto.Hex.decode owner_hex with
-        | None -> Error "answer: bad owner hex"
-        | Some owner ->
-            let* goal =
-              Result.map_error (fun m -> "answer: goal: " ^ m)
-                (literal_of_hex goal_hex)
-            in
-            let* instances =
-              if String.equal insts "-" then Ok []
-              else
-                List.fold_right
-                  (fun h acc ->
-                    let* acc = acc in
-                    let* lit =
-                      Result.map_error (fun m -> "answer: instance: " ^ m)
-                        (literal_of_hex h)
-                    in
-                    Ok (lit :: acc))
-                  (String.split_on_char ',' insts)
-                  (Ok [])
-            in
-            Ok (Answer { owner; goal; instances }))
-    | [ "goal"; id; target_hex; goal_hex ] -> (
-        match (int_of_string_opt id, Crypto.Hex.decode target_hex) with
-        | Some id, Some target ->
-            let* goal =
-              Result.map_error (fun m -> "goal: " ^ m)
-                (literal_of_hex goal_hex)
-            in
-            Ok (Goal { id; target; goal })
-        | None, _ -> Error "goal: bad id"
-        | _, None -> Error "goal: bad target hex")
-    | [ "done"; id ] -> (
-        match int_of_string_opt id with
-        | Some id -> Ok (Done { id })
-        | None -> Error "done: bad id")
-    | _ -> Error "unrecognised entry"
+    match split text i j ' ' [] with
+    | [] -> Error "unrecognised entry"
+    | (t, u) :: fields -> (
+        match (String.sub text t (u - t), fields) with
+        | "cert", [ (p, q) ] -> (
+            match hex_of text p q with
+            | None -> Error "cert: bad hex"
+            | Some blob -> (
+                match Crypto.Wire.decode blob with
+                | Ok c -> Ok (Cert c)
+                | Error (Crypto.Wire.Malformed m) -> Error ("cert: " ^ m)))
+        | "fact", [ (p, q) ] -> (
+            match hex_of text p q with
+            | None -> Error "fact: bad hex"
+            | Some rule -> (
+                match Dlp.Parser.parse_rule rule with
+                | r -> Ok (Fact r)
+                | exception Dlp.Parser.Error (m, _, _) -> Error ("fact: " ^ m)
+                | exception _ -> Error "fact: unparseable rule"))
+        | "answer", [ (p, q); (g, h); (s, e) ] -> (
+            match hex_of text p q with
+            | None -> Error "answer: bad owner hex"
+            | Some owner ->
+                let* goal =
+                  Result.map_error
+                    (fun m -> "answer: goal: " ^ m)
+                    (literal_of_hex text g h)
+                in
+                let* instances =
+                  if e = s + 1 && text.[s] = '-' then Ok []
+                  else
+                    (* Right to left: a bad instance reports as the
+                       rightmost one. *)
+                    List.fold_right
+                      (fun (p, q) acc ->
+                        let* acc = acc in
+                        let* lit =
+                          Result.map_error
+                            (fun m -> "answer: instance: " ^ m)
+                            (literal_of_hex text p q)
+                        in
+                        Ok (lit :: acc))
+                      (split text s e ',' [])
+                      (Ok [])
+                in
+                Ok (Answer { owner; goal; instances }))
+        | "goal", [ (p, q); (t, u); (g, h) ] -> (
+            match (int_of text p q, hex_of text t u) with
+            | Some id, Some target ->
+                let* goal =
+                  Result.map_error
+                    (fun m -> "goal: " ^ m)
+                    (literal_of_hex text g h)
+                in
+                Ok (Goal { id; target; goal })
+            | None, _ -> Error "goal: bad id"
+            | _, None -> Error "goal: bad target hex")
+        | "done", [ (p, q) ] -> (
+            match int_of text p q with
+            | Some id -> Ok (Done { id })
+            | None -> Error "done: bad id")
+        | _, _ -> Error "unrecognised entry")
 
   (* Total over arbitrary bytes.  The final segment without a trailing
      newline is a torn tail — the write the crash interrupted — and is
@@ -143,29 +200,31 @@ module Journal = struct
      land the newline before the crash).  Damage earlier in the stream
      is not crash-shaped and comes back as a line-numbered error. *)
   let parse text =
-    let complete =
-      match List.rev (String.split_on_char '\n' text) with
-      | _torn_tail :: rev -> List.rev rev
-      | [] -> []
-    in
-    let rec go acc n = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest -> (
-          if String.trim line = "" then go acc (n + 1) rest
-          else
-            match parse_line line with
-            | Ok e -> go (e :: acc) (n + 1) rest
-            | Error _ when rest = [] -> Ok (List.rev acc)
-            | Error m ->
+    let rec go acc lineno i =
+      match String.index_from_opt text i '\n' with
+      | None -> Ok (List.rev acc)
+      | Some j when is_blank text i j -> go acc (lineno + 1) (j + 1)
+      | Some j -> (
+          match parse_line text i j with
+          | Ok e -> go (e :: acc) (lineno + 1) (j + 1)
+          | Error m ->
+              if Option.is_none (String.index_from_opt text (j + 1) '\n') then
+                Ok (List.rev acc)
+              else
                 Error
-                  (Bad_world (Printf.sprintf "journal line %d: %s" n m)))
+                  (Bad_world (Printf.sprintf "journal line %d: %s" lineno m)))
     in
-    go [] 1 complete
+    go [] 1 0
 
   let append t entry =
-    let line = line_of_entry entry ^ "\n" in
+    let start, buf =
+      match t.sink with
+      | Memory b -> (Buffer.length b, b)
+      | Disk _ -> (0, Buffer.create 256)
+    in
+    add_line buf entry;
     (match t.sink with
-    | Memory b -> Buffer.add_string b line
+    | Memory _ -> ()
     | Disk path ->
         let oc =
           open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
@@ -173,8 +232,9 @@ module Journal = struct
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            output_string oc line;
+            Buffer.output_buffer oc buf;
             flush oc));
+    Metric.add m_bytes_written (Buffer.length buf - start);
     t.appends <- t.appends + 1
 
   let contents t =
@@ -182,17 +242,24 @@ module Journal = struct
     | Memory b -> Buffer.contents b
     | Disk path -> if Sys.file_exists path then read_file path else ""
 
-  let entries t = parse (contents t)
+  let entries t =
+    Metric.incr m_reads;
+    parse (contents t)
 
   let rewrite t entries =
-    let text =
-      String.concat "" (List.map (fun e -> line_of_entry e ^ "\n") entries)
+    let buf =
+      match t.sink with
+      | Memory b ->
+          Buffer.clear b;
+          b
+      | Disk _ -> Buffer.create 4096
     in
-    match t.sink with
-    | Memory b ->
-        Buffer.clear b;
-        Buffer.add_string b text
-    | Disk path -> write_file path text
+    List.iter (add_line buf) entries;
+    (match t.sink with
+    | Memory _ -> ()
+    | Disk path -> write_file path (fun oc -> Buffer.output_buffer oc buf));
+    Metric.incr m_rewrites;
+    Metric.add m_bytes_written (Buffer.length buf)
 
   let reset t = rewrite t []
 
@@ -249,7 +316,10 @@ let save session ~dir =
       Hashtbl.replace stems stem ();
       write_file
         (Filename.concat dir (stem ^ ".pt"))
-        (Peertrust_dlp.Program.to_string (Peertrust_dlp.Kb.rules peer.Peer.kb));
+        (fun oc ->
+          output_string oc
+            (Peertrust_dlp.Program.to_string
+               (Peertrust_dlp.Kb.rules peer.Peer.kb)));
       Journal.rewrite
         (Journal.for_peer ~dir ~peer:name)
         (Hashtbl.fold (fun _ c acc -> Journal.Cert c :: acc) peer.Peer.certs []))

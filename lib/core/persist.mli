@@ -57,7 +57,13 @@ val pp_error : Format.formatter -> error -> unit
     last append, so the unterminated (or unparseable) final line is
     dropped and the intact prefix used.  Corruption {e earlier} in the
     stream is not crash-shaped and surfaces as a line-numbered
-    {!error}. *)
+    {!error}.
+
+    Every journal counts what its I/O cost scales with, in the global
+    metrics registry: [persist.reads] ({!entries} calls),
+    [persist.rewrites] ({!rewrite} and {!reset} calls) and
+    [persist.bytes_written] (bytes appended or rewritten), for memory
+    and disk sinks alike. *)
 module Journal : sig
   type entry =
     | Cert of Peertrust_crypto.Cert.t  (** a credential learned *)

@@ -173,7 +173,8 @@ type t = {
   desks : (string, desk) Hashtbl.t;  (* peer -> the goals parked there *)
   mutable n_parked : int;
   mutable order : int;  (* last park or wake-up order number *)
-  results : (int, Negotiation.outcome) Hashtbl.t;
+  results : (int, Negotiation.outcome * int) Hashtbl.t;
+      (* request -> its outcome and the tick it settled at *)
   mutable next_request : int;
   mutable budget_hit : bool;
   tabling_st : Tabling.t option;  (* present iff [config.tabling] *)
@@ -729,7 +730,7 @@ let maybe_compact t owner =
 
 let settle_request t id outcome =
   if not (Hashtbl.mem t.results id) then begin
-    Hashtbl.replace t.results id outcome;
+    Hashtbl.replace t.results id (outcome, now t);
     Negotiation.count outcome;
     match Hashtbl.find_opt t.req_owner id with
     | None -> ()
@@ -1630,7 +1631,8 @@ let run ?max_steps t =
   Metric.set g_parked (float_of_int t.n_parked);
   steps
 
-let result t id = Hashtbl.find_opt t.results id
+let result t id = Option.map fst (Hashtbl.find_opt t.results id)
+let settled_at t id = Option.map snd (Hashtbl.find_opt t.results id)
 
 let outcome t id =
   match result t id with
@@ -1681,4 +1683,4 @@ let negotiate ?config ?max_steps ?(adversaries = []) session ~requester
       let o = outcome t id in
       (* a run cut at [max_steps] leaves the root unsettled *)
       settle_request t id o;
-      o)
+      (o, settled_at t id))

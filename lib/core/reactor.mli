@@ -228,6 +228,10 @@ val run : ?max_steps:int -> t -> int
 val result : t -> request -> Negotiation.outcome option
 (** [None] while the request is still unresolved. *)
 
+val settled_at : t -> request -> int option
+(** The tick at which the request's outcome settled; [None] while it is
+    unresolved. *)
+
 val outcome : t -> request -> Negotiation.outcome
 (** Like {!result}, but an unresolved request reports
     [Denied "negotiation quiescent"]. *)
@@ -267,6 +271,7 @@ val negotiate :
   Literal.t ->
   Negotiation.report
 (** One negotiation: create a reactor, submit the goal, run to
-    quiescence and wrap the outcome in a measured {!Negotiation.report}.
+    quiescence and wrap the outcome in a measured {!Negotiation.report}
+    whose [elapsed] ends at the tick the outcome settled.
     The entry point of every relevant-strategy negotiation ({!Strategy},
     {!Broker}, {!Chain}, {!Token}, {!Qel}, the CLI). *)

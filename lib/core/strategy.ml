@@ -107,7 +107,7 @@ let run_eager session ~participants ~requester ~target goal =
 let negotiate_multi session ~participants ~requester ~target goal =
   let report =
     Negotiation.measure session (fun () ->
-        run_eager session ~participants ~requester ~target goal)
+        (run_eager session ~participants ~requester ~target goal, None))
   in
   Negotiation.count report.Negotiation.outcome;
   report
@@ -126,7 +126,7 @@ let negotiate session ~strategy ~requester ~target goal =
           let reactor = Reactor.create session in
           let id = Reactor.submit reactor ~requester ~target goal in
           ignore (Reactor.run reactor : int);
-          Reactor.outcome reactor id)
+          (Reactor.outcome reactor id, Reactor.settled_at reactor id))
 
 let negotiate_str session ~strategy ~requester ~target goal_src =
   negotiate session ~strategy ~requester ~target

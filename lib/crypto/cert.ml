@@ -14,8 +14,14 @@ type error =
   | Revoked of int
 
 let payload t =
-  Printf.sprintf "%d|%d|%d|%s" t.serial t.not_before t.not_after
-    (Peertrust_dlp.Rule.canonical t.rule)
+  let buf = Buffer.create 128 in
+  List.iter
+    (fun i ->
+      Buffer.add_string buf (string_of_int i);
+      Buffer.add_char buf '|')
+    [ t.serial; t.not_before; t.not_after ];
+  Buffer.add_string buf (Peertrust_dlp.Rule.canonical t.rule);
+  Buffer.contents buf
 
 let issue ks ?(not_before = 0) ?(not_after = max_int) rule =
   match rule.Peertrust_dlp.Rule.signer with

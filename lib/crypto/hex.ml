@@ -1,13 +1,19 @@
 let digits = "0123456789abcdef"
 
+let encode_to buf s =
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Buffer.add_char buf (String.unsafe_get digits (c lsr 4));
+    Buffer.add_char buf (String.unsafe_get digits (c land 0xf))
+  done
+
 let encode s =
   let out = Bytes.create (2 * String.length s) in
-  String.iteri
-    (fun i c ->
-      let c = Char.code c in
-      Bytes.set out (2 * i) digits.[c lsr 4];
-      Bytes.set out ((2 * i) + 1) digits.[c land 0xf])
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set out (2 * i) (String.unsafe_get digits (c lsr 4));
+    Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get digits (c land 0xf))
+  done;
   Bytes.unsafe_to_string out
 
 (* Nibble value of every byte; 16 marks a byte that is not a lowercase
@@ -19,23 +25,24 @@ let nibbles =
       | 'a' .. 'f' -> Char.chr (c - Char.code 'a' + 10)
       | _ -> '\016')
 
-let nibble h i = Char.code nibbles.[Char.code h.[i]]
+let nibble h i =
+  Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get h i)))
 
-let decode h =
-  let n = String.length h / 2 in
-  if String.length h land 1 = 1 then None
+(* Every pair is decoded, and one [lor] of all nibbles tells whether
+   any of them was a bad byte. *)
+let decode_sub h ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length h - len then
+    invalid_arg "Hex.decode_sub"
+  else if len land 1 = 1 then None
   else begin
-    let out = Bytes.create n in
-    let rec go i =
-      if i = n then Some (Bytes.unsafe_to_string out)
-      else begin
-        let hi = nibble h (2 * i) and lo = nibble h ((2 * i) + 1) in
-        if hi lor lo > 0xf then None
-        else begin
-          Bytes.set out i (Char.chr ((hi lsl 4) lor lo));
-          go (i + 1)
-        end
-      end
-    in
-    go 0
+    let out = Bytes.create (len / 2) in
+    let bad = ref 0 in
+    for i = 0 to (len / 2) - 1 do
+      let hi = nibble h (pos + (2 * i)) and lo = nibble h (pos + (2 * i) + 1) in
+      bad := !bad lor hi lor lo;
+      Bytes.unsafe_set out i (Char.unsafe_chr (((hi lsl 4) lor lo) land 0xff))
+    done;
+    if !bad > 0xf then None else Some (Bytes.unsafe_to_string out)
   end
+
+let decode h = decode_sub h ~pos:0 ~len:(String.length h)

@@ -7,5 +7,13 @@
 
 val encode : string -> string
 
+val encode_to : Buffer.t -> string -> unit
+(** [encode] appended to a buffer. *)
+
 val decode : string -> string option
 (** [None] on an odd length or on any character outside [0-9a-f]. *)
+
+val decode_sub : string -> pos:int -> len:int -> string option
+(** [decode] of the [len] characters of [h] from [pos], without copying
+    them out first.  @raise Invalid_argument if they are not inside
+    [h]. *)

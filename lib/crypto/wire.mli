@@ -16,12 +16,20 @@
     v}
 
     Issuer names are hex-encoded so arbitrary names (spaces, colons)
-    round-trip.  The integer fields accept only what [%d] prints, and a
-    signature only what {!Bignum.to_hex} writes, so none of those fields
-    has a second spelling. *)
+    round-trip.
+
+    A certificate has exactly one text.  Inside a block, from BEGIN to
+    END, the decoder accepts only the lines {!encode} writes, in its
+    order and byte for byte: no blank line, no leading or trailing
+    blank, no carriage return.  The integer fields accept only what
+    [%d] prints, a signature only what {!Bignum.to_hex} writes, and the
+    [rule:] line only {!Peertrust_dlp.Rule.to_string} of the rule it
+    parses to (so [student ("Alice")] for [student("Alice")] is
+    refused).  Between blocks, {!decode_many} skips blank lines; the
+    newline after the last END may be missing. *)
 
 type error = Malformed of string
-(** Diagnostics name the offending line of the source text
+(** Diagnostics name the first offending line of the source text
     (["line 4: sig: bad hex"]) so a corrupt wallet file points at its
     damage. *)
 

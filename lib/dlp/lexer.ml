@@ -27,103 +27,119 @@ let is_lower c = c >= 'a' && c <= 'z'
 let is_upper c = (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_lower c || is_upper c || is_digit c || c = '\''
 
+(* One pass by index.  A column counts bytes from the start of its line
+   ([bol], the index after the line's newline), so a token's position
+   is worked out once, where it starts; names, numbers and strings
+   without escapes are cut out of [src] whole. *)
 let tokenize src =
   let n = String.length src in
   let tokens = ref [] in
-  let line = ref 1 and col = ref 1 in
+  let line = ref 1 and bol = ref 0 in
   let pos = ref 0 in
+  let col p = p - !bol + 1 in
   let emit token l c = tokens := { token; line = l; col = c } :: !tokens in
-  let advance () =
-    (if !pos < n then
-       if src.[!pos] = '\n' then (
-         incr line;
-         col := 1)
-       else incr col);
-    incr pos
+  let next_is c = !pos + 1 < n && src.[!pos + 1] = c in
+  (* The end of the run of characters from [p] that satisfy [ok]. *)
+  let span p ok =
+    let q = ref p in
+    while !q < n && ok src.[!q] do
+      incr q
+    done;
+    !q
   in
-  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
   while !pos < n do
-    let c = src.[!pos] in
-    let l = !line and co = !col in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance ()
-    else if c = '%' || c = '#' then
-      while !pos < n && src.[!pos] <> '\n' do
-        advance ()
-      done
-    else if c = '(' then (emit LPAREN l co; advance ())
-    else if c = ')' then (emit RPAREN l co; advance ())
-    else if c = '{' then (emit LBRACE l co; advance ())
-    else if c = '}' then (emit RBRACE l co; advance ())
-    else if c = '[' then (emit LBRACKET l co; advance ())
-    else if c = ']' then (emit RBRACKET l co; advance ())
-    else if c = ',' then (emit COMMA l co; advance ())
-    else if c = '.' then (emit DOT l co; advance ())
-    else if c = '@' then (emit AT l co; advance ())
-    else if c = '$' then (emit DOLLAR l co; advance ())
-    else if c = '<' then (
-      match peek 1 with
-      | Some '-' -> (emit ARROW l co; advance (); advance ())
-      | Some '=' -> (emit (OP "<=") l co; advance (); advance ())
-      | _ -> (emit (OP "<") l co; advance ()))
-    else if c = '>' then (
-      match peek 1 with
-      | Some '=' -> (emit (OP ">=") l co; advance (); advance ())
-      | _ -> (emit (OP ">") l co; advance ()))
-    else if c = '=' then (emit (OP "=") l co; advance ())
-    else if c = '+' then (emit (OP "+") l co; advance ())
-    else if c = '-' then (emit (OP "-") l co; advance ())
-    else if c = '*' then (emit (OP "*") l co; advance ())
-    else if c = '/' then (emit (OP "/") l co; advance ())
-    else if c = '!' then (
-      match peek 1 with
-      | Some '=' -> (emit (OP "!=") l co; advance (); advance ())
-      | _ -> raise (Error ("unexpected character '!'", l, co)))
-    else if c = '"' then (
-      let buf = Buffer.create 16 in
-      advance ();
-      let closed = ref false in
-      while (not !closed) && !pos < n do
-        let d = src.[!pos] in
-        if d = '"' then (
-          closed := true;
-          advance ())
-        else if d = '\\' then (
-          advance ();
-          match if !pos < n then Some src.[!pos] else None with
-          | Some 'n' -> (Buffer.add_char buf '\n'; advance ())
-          | Some 't' -> (Buffer.add_char buf '\t'; advance ())
-          | Some '"' -> (Buffer.add_char buf '"'; advance ())
-          | Some '\\' -> (Buffer.add_char buf '\\'; advance ())
-          | Some other ->
-              raise
-                (Error (Printf.sprintf "bad escape '\\%c'" other, !line, !col))
-          | None -> raise (Error ("unterminated string", l, co)))
-        else (
-          Buffer.add_char buf d;
-          advance ())
-      done;
-      if not !closed then raise (Error ("unterminated string", l, co));
-      emit (STRING (Buffer.contents buf)) l co)
-    else if is_digit c then (
-      let buf = Buffer.create 8 in
-      while !pos < n && is_digit src.[!pos] do
-        Buffer.add_char buf src.[!pos];
-        advance ()
-      done;
-      emit (INT (int_of_string (Buffer.contents buf))) l co)
-    else if is_lower c || is_upper c then (
-      let buf = Buffer.create 16 in
-      while !pos < n && is_ident_char src.[!pos] do
-        Buffer.add_char buf src.[!pos];
-        advance ()
-      done;
-      let word = Buffer.contents buf in
-      if String.equal word "signedBy" then emit SIGNEDBY l co
-      else if is_upper word.[0] then emit (VAR word) l co
-      else emit (IDENT word) l co)
-    else raise (Error (Printf.sprintf "unexpected character %C" c, l, co))
+    let p = !pos in
+    let c = src.[p] in
+    let l = !line and co = col p in
+    let tok token len =
+      emit token l co;
+      pos := p + len
+    in
+    match c with
+    | ' ' | '\t' | '\r' -> pos := p + 1
+    | '\n' ->
+        incr line;
+        bol := p + 1;
+        pos := p + 1
+    | '%' | '#' -> pos := span p (fun d -> d <> '\n')
+    | '(' -> tok LPAREN 1
+    | ')' -> tok RPAREN 1
+    | '{' -> tok LBRACE 1
+    | '}' -> tok RBRACE 1
+    | '[' -> tok LBRACKET 1
+    | ']' -> tok RBRACKET 1
+    | ',' -> tok COMMA 1
+    | '.' -> tok DOT 1
+    | '@' -> tok AT 1
+    | '$' -> tok DOLLAR 1
+    | '<' ->
+        if next_is '-' then tok ARROW 2
+        else if next_is '=' then tok (OP "<=") 2
+        else tok (OP "<") 1
+    | '>' -> if next_is '=' then tok (OP ">=") 2 else tok (OP ">") 1
+    | '=' -> tok (OP "=") 1
+    | '+' -> tok (OP "+") 1
+    | '-' -> tok (OP "-") 1
+    | '*' -> tok (OP "*") 1
+    | '/' -> tok (OP "/") 1
+    | '!' ->
+        if next_is '=' then tok (OP "!=") 2
+        else raise (Error ("unexpected character '!'", l, co))
+    | '"' ->
+        let q = span (p + 1) (fun d -> d <> '"' && d <> '\\' && d <> '\n') in
+        if q < n && src.[q] = '"' then begin
+          emit (STRING (String.sub src (p + 1) (q - p - 1))) l co;
+          pos := q + 1
+        end
+        else begin
+          (* An escape or a newline inside the string. *)
+          let buf = Buffer.create 16 in
+          pos := p + 1;
+          let closed = ref false in
+          while (not !closed) && !pos < n do
+            let d = src.[!pos] in
+            if d = '"' then closed := true
+            else if d = '\\' then begin
+              incr pos;
+              if !pos >= n then raise (Error ("unterminated string", l, co));
+              match src.[!pos] with
+              | 'n' -> Buffer.add_char buf '\n'
+              | 't' -> Buffer.add_char buf '\t'
+              | '"' -> Buffer.add_char buf '"'
+              | '\\' -> Buffer.add_char buf '\\'
+              | other ->
+                  raise
+                    (Error
+                       ( Printf.sprintf "bad escape '\\%c'" other,
+                         !line,
+                         col !pos ))
+            end
+            else begin
+              if d = '\n' then begin
+                incr line;
+                bol := !pos + 1
+              end;
+              Buffer.add_char buf d
+            end;
+            incr pos
+          done;
+          if not !closed then raise (Error ("unterminated string", l, co));
+          emit (STRING (Buffer.contents buf)) l co
+        end
+    | '0' .. '9' ->
+        let q = span p is_digit in
+        tok (INT (int_of_string (String.sub src p (q - p)))) (q - p)
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+        let q = span p is_ident_char in
+        let word = String.sub src p (q - p) in
+        tok
+          (if String.equal word "signedBy" then SIGNEDBY
+           else if is_upper c then VAR word
+           else IDENT word)
+          (q - p)
+    | _ -> raise (Error (Printf.sprintf "unexpected character %C" c, l, co))
   done;
-  emit EOF !line !col;
+  emit EOF !line (col n);
   List.rev !tokens
 
 let pp_token fmt = function

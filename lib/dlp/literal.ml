@@ -118,27 +118,40 @@ let naf_inner l =
   | "not", [ t ], [] -> of_term t
   | _, _, _ -> None
 
-let infix_ops = [ "="; "!="; "<"; "<="; ">"; ">=" ]
+(* Built-in comparisons print infix so they re-parse. *)
+let is_infix = function
+  | "=" | "!=" | "<" | "<=" | ">" | ">=" -> true
+  | _ -> false
 
-let rec pp fmt l =
+let rec to_buffer buf l =
   match naf_inner l with
-  | Some inner -> Format.fprintf fmt "not %a" pp inner
+  | Some inner ->
+      Buffer.add_string buf "not ";
+      to_buffer buf inner
   | None -> (
-      (* Built-in comparisons print infix so they re-parse. *)
-      match (l.pred, l.args, l.auth) with
-      | op, [ a; b ], [] when List.mem op infix_ops ->
-          Format.fprintf fmt "%a %s %a" Term.pp a op Term.pp b
-      | _, _, _ -> pp_plain fmt l)
+      match (l.args, l.auth) with
+      | [ a; b ], [] when is_infix l.pred ->
+          Term.to_buffer buf a;
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf l.pred;
+          Buffer.add_char buf ' ';
+          Term.to_buffer buf b
+      | args, auth ->
+          Buffer.add_string buf l.pred;
+          if args <> [] then begin
+            Buffer.add_char buf '(';
+            Term.add_list buf Term.to_buffer args;
+            Buffer.add_char buf ')'
+          end;
+          List.iter
+            (fun a ->
+              Buffer.add_string buf " @ ";
+              Term.to_buffer buf a)
+            auth)
 
-and pp_plain fmt l =
-  (match l.args with
-  | [] -> Format.pp_print_string fmt l.pred
-  | args ->
-      Format.fprintf fmt "%s(%a)" l.pred
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           Term.pp)
-        args);
-  List.iter (fun a -> Format.fprintf fmt " @@ %a" Term.pp a) l.auth
+let to_string l =
+  let buf = Buffer.create 64 in
+  to_buffer buf l;
+  Buffer.contents buf
 
-let to_string l = Format.asprintf "%a" pp l
+let pp fmt l = Format.pp_print_string fmt (to_string l)

@@ -72,5 +72,13 @@ val negate : t -> t
 val naf_inner : t -> t option
 (** The literal under a [not/1] wrapper, if this is one. *)
 
+(** {2 Printing}
+
+    One printer, as for {!Term}: [not lit] for negation, built-in
+    comparisons infix ([X < 3]), otherwise [pred(args)] followed by
+    [" @ A"] per authority. *)
+
+val to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

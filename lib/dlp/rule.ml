@@ -106,7 +106,7 @@ let canonical r =
     match Hashtbl.find_opt tbl v with
     | Some n -> n
     | None ->
-        let n = Printf.sprintf "_V%d" !counter in
+        let n = "_V" ^ string_of_int !counter in
         incr counter;
         Hashtbl.add tbl v n;
         n
@@ -114,10 +114,7 @@ let canonical r =
   let buf = Buffer.create 128 in
   let rec term = function
     | Term.Var v -> Buffer.add_string buf (var v)
-    | Term.Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (String.escaped (Sym.name s));
-        Buffer.add_char buf '"'
+    | Term.Str s -> Term.add_quoted buf (Sym.name s)
     | Term.Int i -> Buffer.add_string buf (string_of_int i)
     | Term.Atom a -> Buffer.add_string buf (Sym.name a)
     | Term.Compound (f, args) ->
@@ -233,33 +230,41 @@ let instantiate_at c k0 =
   if c.c_nvars = 0 then c.c_rule
   else map_literals (Literal.shift_fresh k0) c.c_rule
 
-let pp_ctx fmt = function
-  | [] -> Format.pp_print_string fmt "true"
-  | lits ->
-      Format.pp_print_list
-        ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-        Literal.pp fmt lits
+let ctx_to_buffer buf = function
+  | [] -> Buffer.add_string buf "true"
+  | lits -> Term.add_list buf Literal.to_buffer lits
 
-let pp fmt r =
-  Literal.pp fmt r.head;
-  Option.iter (fun c -> Format.fprintf fmt " $ %a" pp_ctx c) r.head_ctx;
+let to_buffer buf r =
+  Literal.to_buffer buf r.head;
+  Option.iter
+    (fun c ->
+      Buffer.add_string buf " $ ";
+      ctx_to_buffer buf c)
+    r.head_ctx;
   (match (r.rule_ctx, r.body) with
   | None, [] -> ()
   | rc, body ->
-      Format.pp_print_string fmt " <-";
-      Option.iter (fun c -> Format.fprintf fmt "{%a}" pp_ctx c) rc;
-      if body <> [] then
-        Format.fprintf fmt " %a"
-          (Format.pp_print_list
-             ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-             Literal.pp)
-          body);
-  if r.signer <> [] then
-    Format.fprintf fmt " signedBy [%a]"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         (fun fmt s -> Format.fprintf fmt "%S" s))
-      r.signer;
-  Format.pp_print_string fmt "."
+      Buffer.add_string buf " <-";
+      Option.iter
+        (fun c ->
+          Buffer.add_char buf '{';
+          ctx_to_buffer buf c;
+          Buffer.add_char buf '}')
+        rc;
+      if body <> [] then begin
+        Buffer.add_char buf ' ';
+        Term.add_list buf Literal.to_buffer body
+      end);
+  if r.signer <> [] then begin
+    Buffer.add_string buf " signedBy [";
+    Term.add_list buf Term.add_quoted r.signer;
+    Buffer.add_char buf ']'
+  end;
+  Buffer.add_char buf '.'
 
-let to_string r = Format.asprintf "%a" pp r
+let to_string r =
+  let buf = Buffer.create 128 in
+  to_buffer buf r;
+  Buffer.contents buf
+
+let pp fmt r = Format.pp_print_string fmt (to_string r)

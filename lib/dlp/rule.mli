@@ -115,5 +115,14 @@ val instantiate_at : compiled -> int -> t
     lets the solver defer the boxed instantiation until a head variant
     has actually unified. *)
 
+(** {2 Printing}
+
+    One printer, as for {!Literal}: the head, [" $ ctx"] for a head
+    context, [" <-{ctx} body"] for a rule context and body, and
+    [signedBy] with the signers quoted as string constants, in brackets;
+    an empty context prints [true] and every rule ends in ['.'].  The
+    text re-parses to an equal rule. *)
+
+val to_buffer : Buffer.t -> t -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -186,19 +186,46 @@ let div_op = Sym.intern "/"
 let is_arith_op op =
   op = plus_op || op = minus_op || op = times_op || op = div_op
 
-let rec pp fmt = function
-  | Var v -> Format.pp_print_string fmt (var_name v)
-  | Str s -> Format.fprintf fmt "%S" (Sym.name s)
-  | Int i -> Format.pp_print_int fmt i
-  | Atom a -> Format.pp_print_string fmt (Sym.name a)
+(* The one printer: [pp] prints what [to_string] writes.  A string
+   constant is OCaml's [%S] spelling, [String.escaped] in quotes. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (String.escaped s);
+  Buffer.add_char buf '"'
+
+let add_list buf add = function
+  | [] -> ()
+  | x :: rest ->
+      add buf x;
+      List.iter
+        (fun x ->
+          Buffer.add_string buf ", ";
+          add buf x)
+        rest
+
+let rec to_buffer buf = function
+  | Var v -> Buffer.add_string buf (var_name v)
+  | Str s -> add_quoted buf (Sym.name s)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Atom a -> Buffer.add_string buf (Sym.name a)
   | Compound (op, [ a; b ]) when is_arith_op op ->
       (* Arithmetic prints infix (parenthesised) so it re-parses. *)
-      Format.fprintf fmt "(%a %s %a)" pp a (Sym.name op) pp b
+      Buffer.add_char buf '(';
+      to_buffer buf a;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Sym.name op);
+      Buffer.add_char buf ' ';
+      to_buffer buf b;
+      Buffer.add_char buf ')'
   | Compound (f, args) ->
-      Format.fprintf fmt "%s(%a)" (Sym.name f)
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           pp)
-        args
+      Buffer.add_string buf (Sym.name f);
+      Buffer.add_char buf '(';
+      add_list buf to_buffer args;
+      Buffer.add_char buf ')'
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let buf = Buffer.create 32 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)

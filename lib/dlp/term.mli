@@ -106,5 +106,22 @@ val rename_with : (int, int) Hashtbl.t -> t -> t
 (** Rename every non-pseudo variable to a globally fresh one, memoising
     through [mapping] so shared variables stay shared across calls. *)
 
+(** {2 Printing}
+
+    One printer: {!to_buffer} writes the text, {!to_string} returns it
+    and {!pp} prints it, so the three agree byte for byte.  A string
+    constant is [String.escaped] in double quotes, arithmetic prints
+    infix in parentheses, and arguments are separated by [", "]. *)
+
+val to_buffer : Buffer.t -> t -> unit
+
+val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+(** [add_list buf add xs] writes the items with [add], separated by
+    [", "]: the printer's list spelling. *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** A string in the spelling of a string constant: [String.escaped]
+    in double quotes. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -207,6 +207,35 @@ let test_black_hole_times_out () =
   Alcotest.(check bool) "timeout counted" true
     (Pobs.Registry.counter_value snapshot "reactor.timeouts" > 0)
 
+(* [elapsed] counts the ticks until the outcome settled.  A crash and
+   restart scheduled long after the last message, which the run still
+   executes, add nothing to it; a black-holed query counts the tick its
+   retries ran out: 8 + 16 + 32 + 64 after the send at tick 0. *)
+let test_elapsed_ends_at_settle () =
+  let negotiate faults =
+    let s = Scenario.scenario1 ~key_bits () in
+    let session = s.Scenario.s1_session in
+    Net.Network.set_faults session.Session.network faults;
+    Reactor.negotiate session ~requester:"Alice" ~target:"E-Learn"
+      (Scenario.scenario1_goal ())
+  in
+  let plain = negotiate (Net.Faults.none ()) in
+  let late = Net.Faults.none () in
+  Net.Faults.add_crash late ~peer:"UIUC" ~at_tick:1000 ~restart_tick:1001;
+  let crashed = negotiate late in
+  let black_hole = Net.Faults.create ~seed:1L () in
+  Net.Faults.set_link black_hole ~from:"Alice" ~target:"E-Learn"
+    { Net.Faults.zero_rates with Net.Faults.drop = 1.0 };
+  let lost = negotiate black_hole in
+  Alcotest.(check (list bool))
+    "granted, granted, denied" [ true; true; false ]
+    (List.map
+       (fun r -> granted r.Negotiation.outcome)
+       [ plain; crashed; lost ]);
+  Alcotest.(check (list int))
+    "ticks" [ 6; 6; 120 ]
+    (List.map (fun r -> r.Negotiation.elapsed) [ plain; crashed; lost ])
+
 let test_duplicates_are_idempotent () =
   (* Every message delivered twice: outcome and grant-set match the
      fault-free run, and the duplicate deliveries are counted. *)
@@ -823,6 +852,7 @@ let () =
         [
           tc "outage rides out on retries" test_outage_recovers_with_retries;
           tc "black hole times out" test_black_hole_times_out;
+          tc "elapsed ends at the settle tick" test_elapsed_ends_at_settle;
           tc "duplicates are idempotent" test_duplicates_are_idempotent;
           tc "every duplicate delivered" test_every_duplicate_delivered;
         ] );

@@ -139,6 +139,19 @@ let test_cli_scenario () =
   Alcotest.(check int) "exit 0" 0 code;
   Alcotest.(check bool) "granted" true (contains ~sub:"granted" out)
 
+(* The report's ticks end where the outcome settled: a crash scheduled
+   long after the last message (tick 6) does not stretch them. *)
+let test_cli_scenario_ticks () =
+  List.iter
+    (fun args ->
+      let code, out = run ([ "scenario"; "elearn" ] @ args) in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool)
+        (String.concat " " args ^ ": 6 ticks")
+        true
+        (contains ~sub:"disclosure(s), 6 tick(s)" out))
+    [ []; [ "--crash"; "UIUC:1000:1001" ] ]
+
 let test_cli_wallet_roundtrip () =
   let owner = write_temp ".pt" owner_program in
   let client = write_temp ".pt" client_program in
@@ -212,6 +225,7 @@ let () =
           tc "negotiate grant/deny" test_cli_negotiate_grant_and_deny;
           tc "analyze deadlock" test_cli_analyze;
           tc "scenario" test_cli_scenario;
+          tc "scenario ticks end at the outcome" test_cli_scenario_ticks;
           tc "wallet roundtrip" test_cli_wallet_roundtrip;
           tc "world roundtrip" test_cli_world_roundtrip;
         ] );

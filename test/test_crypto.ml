@@ -631,6 +631,46 @@ let test_wire_canonical_ints () =
   List.iter (respell "serial: 1") [ "serial: 0x1"; "serial: 0_1"; "serial: 01" ];
   List.iter (respell "not-before: 0") [ "not-before: +0"; "not-before: -0" ]
 
+(* Inside a block only the lines [encode] writes are accepted.  Each
+   respelling below decodes, at a decoder that trims lines, skips blank
+   ones and re-parses the rule line, to the same seed-2004 certificate,
+   whose signature would verify. *)
+let test_wire_one_text () =
+  let ks = Keystore.create ~seed:2004L () in
+  let cert =
+    match Cert.issue ks (parse_rule {|student("Alice") @ "UIUC" signedBy ["UIUC"].|}) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "issue failed: %a" Cert.pp_error e
+  in
+  let text = Wire.encode cert in
+  (match Wire.decode text with
+  | Ok c -> Alcotest.(check bool) "original verifies" true (Cert.verify ks c = Ok ())
+  | Error e -> Alcotest.failf "original refused: %a" Wire.pp_error e);
+  let lines = String.split_on_char '\n' text in
+  let respell label f =
+    let text' = String.concat "\n" (List.concat_map f lines) in
+    Alcotest.(check bool) (label ^ ": a different text") false (text' = text);
+    match Wire.decode text' with
+    | Error (Wire.Malformed _) -> ()
+    | Ok _ -> Alcotest.failf "%s: decoded %S" label text'
+  in
+  let rule_line = "rule: " ^ Peertrust_dlp.Rule.to_string cert.Cert.rule in
+  respell "serial: 1 with trailing blanks" (fun l ->
+      [ (if l = "serial: 1" then "serial: 1  \t" else l) ]);
+  respell "student (" (fun l ->
+      if l = rule_line then
+        [ {|rule: student ("Alice") @ "UIUC" signedBy ["UIUC"].|} ]
+      else [ l ]);
+  respell "blank line before END" (fun l ->
+      if l = "-----END PEERTRUST CERTIFICATE-----" then [ ""; l ] else [ l ]);
+  (* Between the blocks of a wallet, blank lines are still skipped. *)
+  match Wire.decode_many ("\n" ^ text ^ "\n  \n" ^ text) with
+  | Ok [ a; b ] ->
+      Alcotest.(check (list string)) "wallet with blank lines" [ text; text ]
+        [ Wire.encode a; Wire.encode b ]
+  | Ok _ -> Alcotest.fail "expected two certificates"
+  | Error e -> Alcotest.failf "wallet refused: %a" Wire.pp_error e
+
 let prop_wire_int_roundtrip =
   let rule = parse_rule {|member("Bob") @ "ELENA" signedBy ["ELENA"].|} in
   QCheck.Test.make ~name:"wire: integer fields roundtrip" ~count:200
@@ -660,7 +700,13 @@ let test_wire_malformed () =
   expect "-----BEGIN PEERTRUST CERTIFICATE-----\nserial: 1\n";
   expect "junk\n-----BEGIN PEERTRUST CERTIFICATE-----\n-----END PEERTRUST CERTIFICATE-----\n";
   expect
-    "-----BEGIN PEERTRUST CERTIFICATE-----\nserial: x\n-----END PEERTRUST CERTIFICATE-----\n"
+    "-----BEGIN PEERTRUST CERTIFICATE-----\nserial: x\n-----END PEERTRUST CERTIFICATE-----\n";
+  (* An integer literal out of int range is a bad rule, not an
+     exception. *)
+  expect
+    "-----BEGIN PEERTRUST CERTIFICATE-----\nserial: 1\nnot-before: 0\n\
+     not-after: 9\nrule: p(99999999999999999999) signedBy [\"CA\"].\n\
+     -----END PEERTRUST CERTIFICATE-----\n"
 
 (* ------------------------------------------------------------------ *)
 (* Kernels against the reference arithmetic in Kernel_ref *)
@@ -812,6 +858,7 @@ let () =
           tc "malformed inputs" test_wire_malformed;
           tc "signature hex has one spelling" test_wire_canonical_hex;
           tc "integers have one spelling" test_wire_canonical_ints;
+          tc "one text per certificate" test_wire_one_text;
           QCheck_alcotest.to_alcotest prop_wire_int_roundtrip;
         ] );
       ( "cert",

@@ -1132,6 +1132,337 @@ let prop_journal_replay_idempotent =
           Persist.Journal.replay_peer twice es;
           peer_signature once = peer_signature twice)
 
+(* ------------------------------------------------------------------ *)
+(* The text codecs against their references (Kernel_ref): the printer
+   against [Format], hex against the recursive codec, the journal
+   parser against the split-based one, and decode then encode on every
+   journal a disk-journalled crash run writes. *)
+
+let gen_text =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            "";
+            "plain";
+            {|with "quotes"|};
+            {|back\slash|};
+            "tab\tand\nnewline";
+            "caf\xc3\xa9";
+            "\xff\x00\x7f";
+            "@ $ <-{} signedBy";
+          ];
+        string_size ~gen:char (int_range 0 6);
+      ])
+
+let gen_int =
+  QCheck.Gen.(
+    oneof [ int_range (-1000) 1000; oneofl [ min_int; max_int; 0; -1 ] ])
+
+let rec gen_print_term depth =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (2, map (fun i -> Term.var (Printf.sprintf "V%d" i)) (int_bound 3));
+        (1, map (fun () -> Term.fresh ()) unit);
+        (2, map Term.str gen_text);
+        (2, map (fun i -> Term.Int i) gen_int);
+        (1, map (fun i -> Term.atom (Printf.sprintf "a%d" i)) (int_bound 3));
+      ]
+  in
+  if depth = 0 then leaf
+  else
+    let sub = gen_print_term (depth - 1) in
+    frequency
+      [
+        (3, leaf);
+        ( 1,
+          map3
+            (fun op a b -> Term.compound op [ a; b ])
+            (oneofl [ "+"; "-"; "*"; "/" ])
+            sub sub );
+        ( 1,
+          map2 Term.compound
+            (oneofl [ "f"; "g"; "+" ])
+            (list_size (int_range 1 3) sub) );
+      ]
+
+let gen_print_literal =
+  let open QCheck.Gen in
+  let plain =
+    let* p = oneofl [ "p"; "q"; "not"; "=" ] in
+    let* args = list_size (int_range 0 3) (gen_print_term 2) in
+    let* auth = list_size (int_range 0 2) (gen_print_term 1) in
+    return (Literal.make ~auth p args)
+  in
+  let infix =
+    map3
+      (fun op a b -> Literal.make op [ a; b ])
+      (oneofl [ "="; "!="; "<"; "<="; ">"; ">=" ])
+      (gen_print_term 2) (gen_print_term 2)
+  in
+  frequency
+    [
+      (3, plain);
+      (2, infix);
+      (1, map Literal.negate plain);
+      (1, map Literal.negate infix);
+      (1, map (fun l -> Literal.negate (Literal.negate l)) plain);
+    ]
+
+let gen_print_rule =
+  let open QCheck.Gen in
+  let ctx =
+    frequency
+      [
+        (2, return None);
+        (1, return (Some []));
+        (2, map Option.some (list_size (int_range 1 2) gen_print_literal));
+      ]
+  in
+  let* head = gen_print_literal in
+  let* body = list_size (int_range 0 3) gen_print_literal in
+  let* head_ctx = ctx in
+  let* rule_ctx = ctx in
+  let* signer =
+    frequency [ (2, return []); (1, list_size (int_range 1 3) gen_text) ]
+  in
+  return (Rule.make ?head_ctx ?rule_ctx ~signer head body)
+
+let prop_printer_reference =
+  QCheck.Test.make ~name:"printer: equals the Format reference"
+    ~count:(scale 500)
+    (QCheck.make ~print:Kernel_ref.rule_to_string gen_print_rule)
+    (fun r ->
+      let lits =
+        (r.Rule.head :: r.Rule.body)
+        @ Option.value ~default:[] r.Rule.head_ctx
+      in
+      let terms =
+        List.concat_map (fun (l : Literal.t) -> l.args @ l.auth) lits
+      in
+      let text = Kernel_ref.rule_to_string r in
+      String.equal (Rule.to_string r) text
+      && String.equal (Format.asprintf "%a" Rule.pp r) text
+      && List.for_all
+           (fun l ->
+             String.equal (Literal.to_string l)
+               (Kernel_ref.literal_to_string l))
+           lits
+      && List.for_all
+           (fun t ->
+             String.equal (Term.to_string t) (Kernel_ref.term_to_string t))
+           terms)
+
+(* Lexer input: fragments of every token, with the edge cases of the
+   format (escapes, newlines inside strings, comments, an out-of-range
+   integer, bad characters), or arbitrary bytes. *)
+let gen_lexer_input =
+  QCheck.Gen.(
+    let fragment =
+      oneofl
+        [
+          "p"; "X"; "_y"; "a'b"; "signedBy"; "signedByX"; "123"; "0";
+          "99999999999999999999"; {|"str"|}; {|"a\nb\t\"\\"|}; {|"bad\q"|};
+          {|"open|}; "\"multi\nline\""; "\"\\"; "%comment\n"; "#c"; " ";
+          "\t"; "\r"; "\n"; "("; ")"; "{"; "}"; "["; "]"; ","; "."; "@";
+          "$"; "<-"; "<="; "<"; ">="; ">"; "="; "!="; "!"; "+"; "-"; "*";
+          "/"; "'"; "caf\xc3\xa9"; "&"; "\\"; "\012";
+        ]
+    in
+    oneof
+      [
+        map (String.concat "") (list_size (int_range 0 20) fragment);
+        string_size (int_range 0 20);
+      ])
+
+let prop_lexer_reference =
+  let lex tokenize src =
+    match tokenize src with
+    | toks ->
+        Ok
+          (List.map
+             (fun (t : Lexer.located) -> (t.token, t.line, t.col))
+             toks)
+    | exception Lexer.Error (m, l, c) -> Error (m, l, c)
+    | exception Failure m -> Error (m, 0, 0)
+  in
+  QCheck.Test.make ~name:"lexer: equals the one-character-at-a-time reference"
+    ~count:(scale 1000)
+    (QCheck.make ~print:String.escaped gen_lexer_input)
+    (fun src -> lex Lexer.tokenize src = lex Kernel_ref.tokenize src)
+
+let prop_hex_reference =
+  QCheck.Test.make ~name:"hex: equals the recursive reference, every slice"
+    ~count:(scale 500)
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         oneof
+           [
+             string_size
+               ~gen:(oneofl (List.of_seq (String.to_seq "09afAFg_ \n\xff")))
+               (int_range 0 12);
+             string_size (int_range 0 12);
+             map Kernel_ref.hex_encode (string_size (int_range 0 6));
+           ]))
+    (fun h ->
+      let n = String.length h in
+      Crypto.Hex.encode h = Kernel_ref.hex_encode h
+      && Crypto.Hex.decode h = Kernel_ref.hex_decode h
+      && List.for_all
+           (fun pos ->
+             List.for_all
+               (fun len ->
+                 Crypto.Hex.decode_sub h ~pos ~len
+                 = Kernel_ref.hex_decode (String.sub h pos len))
+               (List.init (n - pos + 1) Fun.id))
+           (List.init (n + 1) Fun.id))
+
+(* Damage of the shapes a journal meets: a torn tail, blank and
+   whitespace lines, CRLF line ends, doubled spaces and a changed byte
+   anywhere. *)
+type damage =
+  | Cut of int
+  | Blank of int * string
+  | Crlf of int
+  | Double_space of int
+  | Byte of int * char
+
+let print_damage = function
+  | Cut n -> Printf.sprintf "cut %d" n
+  | Blank (n, b) -> Printf.sprintf "blank %d %S" n b
+  | Crlf n -> Printf.sprintf "crlf %d" n
+  | Double_space n -> Printf.sprintf "double space %d" n
+  | Byte (n, c) -> Printf.sprintf "byte %d %C" n c
+
+let gen_damage =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun n -> Cut n) small_nat);
+        ( 2,
+          map2
+            (fun n b -> Blank (n, b))
+            small_nat
+            (oneofl [ ""; "  "; "\t\r" ]) );
+        (2, map (fun n -> Crlf n) small_nat);
+        (2, map (fun n -> Double_space n) small_nat);
+        ( 2,
+          map2
+            (fun n c -> Byte (n, c))
+            small_nat
+            (oneofl [ ' '; ','; '-'; 'x'; '\n'; '0' ]) );
+      ])
+
+(* The [k]-th occurrence (mod the count) of [c] in [s]. *)
+let nth_index s c k =
+  let at =
+    List.filter (fun i -> s.[i] = c) (List.init (String.length s) Fun.id)
+  in
+  match at with [] -> None | _ -> Some (List.nth at (k mod List.length at))
+
+let splice s i drop ins =
+  String.sub s 0 i ^ ins ^ String.sub s (i + drop) (String.length s - i - drop)
+
+let damage s = function
+  | Cut n -> String.sub s 0 (n mod (String.length s + 1))
+  | Blank (n, b) -> (
+      match nth_index s '\n' n with
+      | Some i -> splice s (i + 1) 0 (b ^ "\n")
+      | None -> s)
+  | Crlf n -> (
+      match nth_index s '\n' n with
+      | Some i -> splice s i 0 "\r"
+      | None -> s)
+  | Double_space n -> (
+      match nth_index s ' ' n with Some i -> splice s i 0 " " | None -> s)
+  | Byte (n, c) ->
+      if s = "" then s else splice s (n mod String.length s) 1 (String.make 1 c)
+
+let prop_journal_parse_reference =
+  QCheck.Test.make
+    ~name:"persist: journal parse equals the split-based reference"
+    ~count:(scale 400)
+    (QCheck.make
+       ~print:(fun (entries, ds) ->
+         Printf.sprintf "%s\n%s"
+           (String.concat "; " (List.map print_damage ds))
+           (String.escaped (render_journal entries)))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 8) gen_journal_entry)
+           (list_size (int_range 0 4) gen_damage)))
+    (fun (entries, ds) ->
+      let text = List.fold_left damage (render_journal entries) ds in
+      match (Persist.Journal.parse text, Kernel_ref.journal_parse text) with
+      | Ok a, Ok b -> render_journal a = render_journal b
+      | Error (Persist.Bad_world m), Error (Persist.Bad_world m') ->
+          String.equal m m'
+      | _, _ -> false)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "ptjournal" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let prop_journal_dir_reencodes =
+  QCheck.Test.make
+    ~name:
+      "persist: a crash run's disk journals decode and re-encode to \
+       themselves"
+    ~count:(scale 12)
+    (QCheck.make
+       ~print:(fun (v, at, roots) ->
+         Printf.sprintf "victim %d at %d, %d root(s)" v at roots)
+       QCheck.Gen.(triple (int_bound 2) (int_range 2 12) (int_range 1 12)))
+    (fun (v, at_tick, roots) ->
+      with_temp_dir @@ fun dir ->
+      let s = Scenario.scenario1 ~key_bits:288 () in
+      let session = s.Scenario.s1_session in
+      let faults = Peertrust_net.Faults.none () in
+      Peertrust_net.Faults.add_crash faults
+        ~peer:(List.nth [ "Alice"; "E-Learn"; "UIUC" ] v)
+        ~at_tick ~restart_tick:(at_tick + 10);
+      Peertrust_net.Network.set_faults session.Session.network faults;
+      let reactor =
+        Reactor.create
+          ~config:
+            { Reactor.default_config with journal = Reactor.Journal_dir dir }
+          session
+      in
+      for _ = 1 to roots do
+        ignore
+          (Reactor.submit reactor ~requester:"Alice" ~target:"E-Learn"
+             (Scenario.scenario1_goal ()))
+      done;
+      ignore (Reactor.run reactor : int);
+      let journals =
+        List.filter
+          (fun f -> Filename.check_suffix f ".journal")
+          (Array.to_list (Sys.readdir dir))
+      in
+      journals <> []
+      && List.for_all
+           (fun file ->
+             let text =
+               In_channel.with_open_bin
+                 (Filename.concat dir file)
+                 In_channel.input_all
+             in
+             match Persist.Journal.parse text with
+             | Ok es -> render_journal es = text
+             | Error _ -> false)
+           journals)
+
 let () =
   Alcotest.run "properties"
     [
@@ -1160,6 +1491,8 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_rule_roundtrip;
+            prop_printer_reference;
+            prop_lexer_reference;
             prop_canonical_alpha_invariant;
             prop_subsumes_reflexive_on_instances;
           ] );
@@ -1173,6 +1506,7 @@ let () =
             prop_bytes_codec;
             prop_hex_roundtrip;
             prop_hex_canonical;
+            prop_hex_reference;
           ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
@@ -1195,6 +1529,8 @@ let () =
             prop_journal_truncation_prefix;
             prop_journal_mutated_total;
             prop_journal_replay_idempotent;
+            prop_journal_parse_reference;
+            prop_journal_dir_reencodes;
           ] );
       ( "tabling",
         List.map QCheck_alcotest.to_alcotest

@@ -557,6 +557,36 @@ let test_journal_compaction () =
   Alcotest.(check int) "goal 3, two certs, two facts" 5
     (List.length (J.compact entries))
 
+(* A journal counts what its I/O cost scales with: each [entries] call
+   is a read, each [rewrite] (and [reset]) a rewrite, and every byte
+   appended or rewritten is written.  Memory and disk sinks count
+   alike, and [contents] reads nothing. *)
+let test_journal_counters () =
+  let module J = Persist.Journal in
+  let counts j =
+    Peertrust_obs.Obs.reset_metrics ();
+    let done1 = J.Done { id = 1 } (* "done 1\n": 7 bytes *)
+    and goal2 = J.Goal { id = 2; target = "o"; goal = lit "r" } in
+    (* "goal 2 6f 72\n": 13 bytes *)
+    J.append j done1;
+    J.append j goal2;
+    ignore (J.entries j);
+    ignore (J.entries j);
+    J.rewrite j [ goal2 ];
+    ignore (J.contents j);
+    ignore (J.entries j);
+    J.reset j;
+    let snap = Peertrust_obs.Obs.snapshot () in
+    List.map
+      (Peertrust_obs.Registry.counter_value snap)
+      [ "persist.reads"; "persist.rewrites"; "persist.bytes_written" ]
+  in
+  Alcotest.(check (list int)) "memory sink" [ 3; 2; 33 ] (counts (J.in_memory ()));
+  with_temp_dir @@ fun dir ->
+  Alcotest.(check (list int))
+    "disk sink" [ 3; 2; 33 ]
+    (counts (J.for_peer ~dir ~peer:"p"))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "runtime"
@@ -589,6 +619,7 @@ let () =
           tc "saved certificates kept" test_persist_keeps_saved_certs;
           tc "fresh serials after load" test_persist_fresh_serials_after_load;
           tc "journal compaction" test_journal_compaction;
+          tc "journal counters" test_journal_counters;
         ] );
       ( "persist corruption",
         [
