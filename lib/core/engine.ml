@@ -11,8 +11,6 @@ let src = Logs.Src.create "peertrust.engine" ~doc:"PeerTrust negotiation engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let fresh_counter = ref 0
-
 let m_answers = Obs.counter "engine.answers"
 let m_denials = Obs.counter "engine.denials"
 let m_certs_learned = Obs.counter "engine.certs_learned"
@@ -64,9 +62,9 @@ let prover ?remote peer : Policy.prover =
   | [] -> None
   | a :: _ -> Some a
 
-(* Rename the residual engine-generated variables ([X~e12], [Email~2], or
-   raw fresh ids) in an answer instance to neutral names, so reports and
-   clients see [_G1] instead of internal renaming suffixes. *)
+(* Rename the residual solver-generated variables (raw fresh ids, or a
+   solve's [Email~2] display names) in an answer instance to neutral
+   names, so reports and clients see [_G1] instead of internal ids. *)
 let tidy_instance (l : Literal.t) =
   let mapping = Hashtbl.create 4 in
   let counter = ref 0 in
@@ -145,10 +143,7 @@ let answer_body ?remote session peer ~requester goal =
     | None -> ()
     | Some _ ->
         saw_release_rule := true;
-        incr fresh_counter;
-        let r =
-          Rule.rename ~suffix:("~e" ^ string_of_int !fresh_counter) rule
-        in
+        let r = Rule.rename_apart rule in
         let ctx = Option.value ~default:[] r.Rule.head_ctx in
         let ctx_builtin, ctx_rest = split_ctx ctx in
         let heads =
@@ -252,10 +247,7 @@ let answer_body ?remote session peer ~requester goal =
       Rule.is_signed rule && builtin_only_body
       && List.length !results < config.Session.max_answers
     then begin
-      incr fresh_counter;
-      let r =
-        Rule.rename ~suffix:("~c" ^ string_of_int !fresh_counter) rule
-      in
+      let r = Rule.rename_apart rule in
       let heads =
         r.Rule.head
         :: List.map

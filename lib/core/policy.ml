@@ -35,7 +35,7 @@ let credential_releasable ~prover ~kb ~requester ~self (c : Rule.t) =
   | Denied _ -> (
       (* Look for a release rule whose head covers the credential. *)
       let covers rr =
-        let rr = Rule.rename ~suffix:"~rr" rr in
+        let rr = Rule.rename_apart rr in
         match rr.Rule.head_ctx with
         | None -> None
         | Some ctx ->

@@ -148,10 +148,10 @@ module Agenda = Map.Make (struct
   let compare = compare
 end)
 
-(* A peer's durable baseline, captured at reactor creation: the world a
-   crash-stop restart falls back to before replaying its journal.  The
-   KB value is immutable (cheap to hold); the cert/origin tables are
-   copied. *)
+(* A peer's durable baseline, captured at reactor creation for each peer
+   the fault plan will crash: the world a crash-stop restart falls back
+   to before replaying its journal.  The KB value is immutable (cheap to
+   hold); the cert/origin tables are copied. *)
 type snapshot = {
   sn_kb : Kb.t;
   sn_certs : (string, Peertrust_crypto.Cert.t) Hashtbl.t;
@@ -215,16 +215,6 @@ let create ?(config = default_config) session =
       = Ok ()
     else fun _ -> true
   in
-  let snapshots = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun name (peer : Peer.t) ->
-      Hashtbl.replace snapshots name
-        {
-          sn_kb = peer.Peer.kb;
-          sn_certs = Hashtbl.copy peer.Peer.certs;
-          sn_origins = Hashtbl.copy peer.Peer.origins;
-        })
-    session.Session.peers;
   let journals = Hashtbl.create 8 in
   (match config.journal with
   | Journal_off -> ()
@@ -261,14 +251,25 @@ let create ?(config = default_config) session =
       incarnations = Hashtbl.create 8;
       observed_inc = Hashtbl.create 16;
       last_crash = Hashtbl.create 8;
-      snapshots;
+      snapshots = Hashtbl.create 8;
       journals;
       awaiting = Hashtbl.create 8;
       req_owner = Hashtbl.create 8;
     }
   in
+  (* Crashes come only from this list, so only these peers get a boot
+     snapshot (taken before any journal replay below). *)
   List.iter
     (fun (peer, at_tick, restart_tick) ->
+      Option.iter
+        (fun (p : Peer.t) ->
+          Hashtbl.replace t.snapshots peer
+            {
+              sn_kb = p.Peer.kb;
+              sn_certs = Hashtbl.copy p.Peer.certs;
+              sn_origins = Hashtbl.copy p.Peer.origins;
+            })
+        (Hashtbl.find_opt session.Session.peers peer);
       schedule t at_tick (Crash peer);
       if restart_tick <> max_int then schedule t restart_tick (Restart peer))
     (Net.Faults.crashes (Net.Network.faults session.Session.network));

@@ -14,7 +14,7 @@ type token =
   | IDENT of string
   | VAR of string
   | STRING of string
-  | INT of int
+  | INT of string
   | OP of string
   | EOF
 
@@ -46,6 +46,16 @@ let tokenize src =
       incr q
     done;
     !q
+  in
+  (* The byte a decimal escape [\ddd] spells, its digits from [p]: three
+     digits and at most 255, as [String.escaped] writes every byte it
+     has no letter escape for. *)
+  let decimal_escape p =
+    if span p is_digit >= p + 3 then
+      let d i = Char.code src.[p + i] - Char.code '0' in
+      let code = (100 * d 0) + (10 * d 1) + d 2 in
+      if code <= 255 then Some (Char.chr code) else None
+    else None
   in
   while !pos < n do
     let p = !pos in
@@ -102,17 +112,25 @@ let tokenize src =
             else if d = '\\' then begin
               incr pos;
               if !pos >= n then raise (Error ("unterminated string", l, co));
+              let bad other =
+                let msg = Printf.sprintf "bad escape '\\%c'" other in
+                raise (Error (msg, !line, col !pos))
+              in
+              (* Exactly the escapes [String.escaped] writes. *)
               match src.[!pos] with
               | 'n' -> Buffer.add_char buf '\n'
               | 't' -> Buffer.add_char buf '\t'
+              | 'r' -> Buffer.add_char buf '\r'
+              | 'b' -> Buffer.add_char buf '\b'
               | '"' -> Buffer.add_char buf '"'
               | '\\' -> Buffer.add_char buf '\\'
-              | other ->
-                  raise
-                    (Error
-                       ( Printf.sprintf "bad escape '\\%c'" other,
-                         !line,
-                         col !pos ))
+              | '0' .. '9' as d -> (
+                  match decimal_escape !pos with
+                  | Some byte ->
+                      Buffer.add_char buf byte;
+                      pos := !pos + 2
+                  | None -> bad d)
+              | other -> bad other
             end
             else begin
               if d = '\n' then begin
@@ -128,7 +146,7 @@ let tokenize src =
         end
     | '0' .. '9' ->
         let q = span p is_digit in
-        tok (INT (int_of_string (String.sub src p (q - p)))) (q - p)
+        tok (INT (String.sub src p (q - p))) (q - p)
     | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
         let q = span p is_ident_char in
         let word = String.sub src p (q - p) in
@@ -158,6 +176,6 @@ let pp_token fmt = function
   | IDENT s -> Format.fprintf fmt "identifier %s" s
   | VAR s -> Format.fprintf fmt "variable %s" s
   | STRING s -> Format.fprintf fmt "%S" s
-  | INT i -> Format.pp_print_int fmt i
+  | INT digits -> Format.pp_print_string fmt digits
   | OP s -> Format.pp_print_string fmt s
   | EOF -> Format.pp_print_string fmt "<eof>"

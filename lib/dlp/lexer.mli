@@ -18,7 +18,9 @@ type token =
   | IDENT of string  (** lower-case identifier *)
   | VAR of string  (** upper-case or [_]-initial identifier *)
   | STRING of string
-  | INT of int
+  | INT of string
+      (** a run of decimal digits, unsigned; the parser reads its value
+          (and the sign of a negative literal) and checks its range *)
   | OP of string
       (** comparison: [=], [!=], [<], [<=], [>], [>=]; or arithmetic:
           [+], [-], [*], [/] *)

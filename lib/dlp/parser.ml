@@ -20,12 +20,31 @@ let expect st token msg =
     fail_at t
       (Format.asprintf "expected %s, found %a" msg Lexer.pp_token t.Lexer.token)
 
+(* An integer literal's value, [text] being its digits with the sign of
+   a negative literal; one out of int range is a syntax error. *)
+let int_literal (t : Lexer.located) text =
+  match int_of_string_opt text with
+  | Some i -> Term.Int i
+  | None -> fail_at t ("integer literal out of range: " ^ text)
+
 let rec parse_term_st st =
   let t = next st in
+  let not_a_term () =
+    fail_at t
+      (Format.asprintf "expected term, found %a" Lexer.pp_token t.Lexer.token)
+  in
   match t.Lexer.token with
   | Lexer.VAR v -> Term.var v
   | Lexer.STRING s -> Term.str s
-  | Lexer.INT i -> Term.Int i
+  | Lexer.INT digits -> int_literal t digits
+  | Lexer.OP "-" -> (
+      (* A negative literal, as the printer writes a negative [Int]: the
+         sign is read with the digits, so [min_int] is in range. *)
+      match (peek st).Lexer.token with
+      | Lexer.INT digits ->
+          ignore (next st);
+          int_literal t ("-" ^ digits)
+      | _ -> not_a_term ())
   | Lexer.IDENT name -> (
       match (peek st).Lexer.token with
       | Lexer.LPAREN ->
@@ -34,7 +53,7 @@ let rec parse_term_st st =
           expect st Lexer.RPAREN ")";
           Term.compound name args
       | _ -> Term.atom name)
-  | tok -> fail_at t (Format.asprintf "expected term, found %a" Lexer.pp_token tok)
+  | _ -> not_a_term ()
 
 and parse_term_list st =
   let first = parse_term_st st in

@@ -51,23 +51,6 @@ let apply s r = map_literals (Literal.apply s) r
 let display st r = map_literals (Literal.display st) r
 let rename_apart r = map_literals (Literal.rename_with (Hashtbl.create 8)) r
 
-(* Name-based renaming for the cold paths (release-rule evaluation, policy
-   unfolding) whose suffixed variable names are user-visible in reports and
-   observability output. *)
-let rename ~suffix r =
-  let mapping = Hashtbl.create 8 in
-  let f v =
-    if Term.is_pseudo v then v
-    else
-      match Hashtbl.find_opt mapping v with
-      | Some v' -> v'
-      | None ->
-          let v' = Term.var_id (Term.var_name v ^ suffix) in
-          Hashtbl.add mapping v v';
-          v'
-  in
-  map_literals (Literal.map_vars f) r
-
 let vars r =
   let seen = Hashtbl.create 8 in
   let acc = ref [] in

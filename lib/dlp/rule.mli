@@ -51,13 +51,11 @@ val display : Store.t -> t -> t
     ({!Literal.display}); for rules that escape the solver (proof traces). *)
 
 val rename_apart : t -> t
-(** Rename all (non-pseudo) variables of the rule to globally fresh ones;
-    used to rename a rule apart before resolving against a goal. *)
-
-val rename : suffix:string -> t -> t
-(** Append [suffix] to every non-pseudo variable name.  Cold-path renaming
-    whose result names are user-visible (reports, observability spans);
-    the hot path uses compiled rules and integer fresh variables instead. *)
+(** Rename all (non-pseudo) variables of the rule to globally fresh ones
+    ({!Term.fresh_id}); used to rename a rule apart before resolving
+    against a goal.  The one renaming for source rules: it interns no
+    name, and a renamed variable prints as [_G<k>].  Compiled rules rename
+    by a block shift instead ({!instantiate}). *)
 
 val vars : t -> int list
 

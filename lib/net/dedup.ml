@@ -7,7 +7,8 @@ type t = {
 
 let create ~cap =
   if cap < 1 then invalid_arg "Dedup.create: cap must be >= 1";
-  { cap; tbl = Hashtbl.create (min cap 1024); order = Queue.create (); evicted = 0 }
+  (* Sized by use: the table starts small and doubles as ids arrive. *)
+  { cap; tbl = Hashtbl.create 16; order = Queue.create (); evicted = 0 }
 
 let mem t id = Hashtbl.mem t.tbl id
 

@@ -16,7 +16,9 @@
 type t
 
 val create : cap:int -> t
-(** @raise Invalid_argument when [cap < 1]. *)
+(** An empty set: its table is small and grows with the ids it holds, so
+    an idle ring costs a few dozen words whatever [cap] is.
+    @raise Invalid_argument when [cap < 1]. *)
 
 val mem : t -> int -> bool
 

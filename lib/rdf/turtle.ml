@@ -81,7 +81,10 @@ let tokenize src =
       while !pos < n && src.[!pos] >= '0' && src.[!pos] <= '9' do
         incr pos
       done;
-      emit (Int (int_of_string (String.sub src start (!pos - start))))
+      let text = String.sub src start (!pos - start) in
+      match int_of_string_opt text with
+      | Some i -> emit (Int i)
+      | None -> raise (Error ("integer out of range: " ^ text, !line))
     end
     else if is_name_char c then begin
       let start = !pos in

@@ -108,7 +108,8 @@ let literal_to_string l = Format.asprintf "%a" pp_literal l
 let rule_to_string r = Format.asprintf "%a" pp_rule r
 
 (* The lexer that walked [src] one character at a time, with a
-   [Buffer] per name, number and string. *)
+   [Buffer] per name, number and string; it reads every escape
+   [String.escaped] writes. *)
 let is_digit c = c >= '0' && c <= '9'
 let is_lower c = c >= 'a' && c <= 'z'
 let is_upper c = (c >= 'A' && c <= 'Z') || c = '_'
@@ -180,8 +181,24 @@ let tokenize src =
           match if !pos < n then Some src.[!pos] else None with
           | Some 'n' -> (Buffer.add_char buf '\n'; advance ())
           | Some 't' -> (Buffer.add_char buf '\t'; advance ())
+          | Some 'r' -> (Buffer.add_char buf '\r'; advance ())
+          | Some 'b' -> (Buffer.add_char buf '\b'; advance ())
           | Some '"' -> (Buffer.add_char buf '"'; advance ())
           | Some '\\' -> (Buffer.add_char buf '\\'; advance ())
+          | Some ('0' .. '9' as d) -> (
+              (* [\ddd]: three digits, at most 255 *)
+              let digits =
+                String.init 3 (fun i -> Option.value ~default:'x' (peek i))
+              in
+              match int_of_string_opt digits with
+              | Some code when String.for_all is_digit digits && code <= 255 ->
+                  Buffer.add_char buf (Char.chr code);
+                  advance ();
+                  advance ();
+                  advance ()
+              | _ ->
+                  raise
+                    (Error (Printf.sprintf "bad escape '\\%c'" d, !line, !col)))
           | Some other ->
               raise
                 (Error (Printf.sprintf "bad escape '\\%c'" other, !line, !col))
@@ -198,7 +215,7 @@ let tokenize src =
         Buffer.add_char buf src.[!pos];
         advance ()
       done;
-      emit (INT (int_of_string (Buffer.contents buf))) l co)
+      emit (INT (Buffer.contents buf)) l co)
     else if is_lower c || is_upper c then (
       let buf = Buffer.create 16 in
       while !pos < n && is_ident_char src.[!pos] do

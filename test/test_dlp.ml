@@ -165,10 +165,23 @@ let test_lexer_comments () =
     (List.length (tokens "% a comment\nfoo # another\n"))
 
 let test_lexer_escapes () =
-  match tokens {|"a\nb\t\"\\"|} with
+  (match tokens {|"a\nb\t\"\\"|} with
   | [ Lexer.STRING s; Lexer.EOF ] ->
       Alcotest.(check string) "escapes" "a\nb\t\"\\" s
-  | _ -> Alcotest.fail "bad string token"
+  | _ -> Alcotest.fail "bad string token");
+  (* Every escape [String.escaped] writes: [\r], [\b] and [\ddd]. *)
+  let every_byte = String.init 256 Char.chr in
+  (match tokens ("\"" ^ String.escaped every_byte ^ "\"") with
+  | [ Lexer.STRING s; Lexer.EOF ] ->
+      Alcotest.(check string) "every byte" every_byte s
+  | _ -> Alcotest.fail "bad string token");
+  List.iter
+    (fun (src, col) ->
+      match Lexer.tokenize src with
+      | _ -> Alcotest.failf "%s lexed" src
+      | exception Lexer.Error (_, line, c) ->
+          Alcotest.(check (pair int int)) src (1, col) (line, c))
+    [ ({|"\256"|}, 3); ({|"\12"|}, 3); ({|"\1x9"|}, 3); ({|"\q"|}, 3) ]
 
 let test_lexer_error_position () =
   try
@@ -184,6 +197,44 @@ let test_lexer_signedby_keyword () =
 
 (* ------------------------------------------------------------------ *)
 (* Parser *)
+
+(* Whatever constant the printer writes parses back to itself:
+   non-ASCII and control bytes in strings, and ints over the whole
+   range, negatives included.  A literal out of range is a syntax
+   error, not an exception from [int_of_string]. *)
+let test_parse_printed_constants () =
+  let ints = List.map (fun i -> Term.Int i) [ -5; min_int; max_int ] in
+  let minus a b = Term.compound "-" [ Term.Int a; Term.Int b ] in
+  List.iter
+    (fun r ->
+      Alcotest.(check rule) (Rule.to_string r) r
+        (Parser.parse_rule (Rule.to_string r)))
+    [
+      Rule.fact ~signer:[ "CA" ] (Literal.make "member" [ Term.str "Zürich" ]);
+      Rule.fact (Literal.make "p" [ Term.str "a\rb" ]);
+      Rule.fact (Literal.make "p" ints);
+      Rule.make
+        (Literal.make "b" [ Term.var "X" ])
+        [ Literal.make "=" [ Term.var "X"; minus 2 (-5) ] ];
+    ];
+  Alcotest.(check string) "arithmetic stays infix" "b(X) <- X = (2 - 5)."
+    (Rule.to_string (Parser.parse_rule "b(X) <- X = 2 - 5."));
+  Alcotest.(check string) "binary minus before a literal"
+    "b(X) <- X = (2 - -5)."
+    (Rule.to_string (Parser.parse_rule "b(X) <- X = 2 - -5."));
+  List.iter
+    (fun (src, col) ->
+      match Parser.parse_rule src with
+      | _ -> Alcotest.failf "%s parsed" src
+      | exception Parser.Error (_, line, c) ->
+          Alcotest.(check (pair int int)) src (1, col) (line, c))
+    [
+      ("p(99999999999999999999).", 3);
+      ("p(4611686018427387904).", 3);
+      ("p(-4611686018427387905).", 3);
+      ("p(-X).", 3);
+      ("p(- ).", 3);
+    ]
 
 let test_parse_fact () =
   let r = Parser.parse_rule {|freeCourse(cs101).|} in
@@ -1134,6 +1185,7 @@ let () =
           tc "comparison body" test_parse_comparison_in_body;
           tc "scenario program" test_parse_program_scenario;
           tc "print/parse roundtrip" test_parse_roundtrip;
+          tc "printed constants parse back" test_parse_printed_constants;
           tc "syntax errors" test_parse_errors;
         ] );
       ( "kb",

@@ -345,13 +345,22 @@ let report_naf_skips () =
 (* ------------------------------------------------------------------ *)
 (* Printer/parser roundtrip on generated rules *)
 
+(* Constants as the printer may meet them: small ints and a few
+   names (so that goals unify with heads), ints over the whole range,
+   and strings over arbitrary bytes, which print with [\ddd], [\r] and
+   [\b] escapes. *)
 let gen_const =
   let open QCheck.Gen in
-  oneof
+  frequency
     [
-      map (fun i -> Term.Int i) (int_bound 99);
-      map (fun i -> Term.str (Printf.sprintf "s%d" i)) (int_bound 4);
-      map (fun i -> Term.atom (Printf.sprintf "a%d" i)) (int_bound 4);
+      (3, map (fun i -> Term.Int i) (int_bound 99));
+      ( 1,
+        map
+          (fun i -> Term.Int i)
+          (oneof [ int; oneofl [ min_int; max_int; -1 ] ]) );
+      (3, map (fun i -> Term.str (Printf.sprintf "s%d" i)) (int_bound 4));
+      (1, map Term.str (string_size ~gen:char (int_range 0 6)));
+      (3, map (fun i -> Term.atom (Printf.sprintf "a%d" i)) (int_bound 4));
     ]
 
 let gen_term =
@@ -699,15 +708,27 @@ let arb_junk =
     ~print:(fun s -> Printf.sprintf "%S" s)
     QCheck.Gen.(
       let any_char = map Char.chr (int_range 1 255) in
+      (* Digit runs up to 25 long, so past int range, alone or signed. *)
+      let digits =
+        map2
+          (fun sign ds -> sign ^ ds)
+          (oneofl [ ""; "-"; "- " ])
+          (string_size ~gen:numeral (int_range 1 25))
+      in
       let mixed =
         oneof
           [
             map (String.concat "")
               (list_size (int_range 0 8)
-                 (oneofl
-                    [ "p("; ")"; "\"str\""; "<-"; "@"; "$"; "signedBy";
-                      "["; "]"; "X"; "42"; ","; "."; "not "; "+"; "{"; "}";
-                      "true"; "%c\n"; "<"; "=" ]));
+                 (oneof
+                    [
+                      oneofl
+                        [ "p("; ")"; "\"str\""; "<-"; "@"; "$"; "signedBy";
+                          "["; "]"; "X"; "42"; ","; "."; "not "; "+"; "{";
+                          "}"; "true"; "%c\n"; "<"; "="; "-";
+                          "-4611686018427387904"; "4611686018427387904" ];
+                      digits;
+                    ]));
             string_size ~gen:any_char (int_range 0 40);
             string_size ~gen:printable (int_range 0 60);
           ]
@@ -1132,6 +1153,42 @@ let prop_journal_replay_idempotent =
           Persist.Journal.replay_peer twice es;
           peer_signature once = peer_signature twice)
 
+(* Whatever constant a fact or a certificate names — any bytes in a
+   string, any int — its journal line parses back to the same entry,
+   and the certificate still verifies. *)
+let journal_keystore = lazy (Crypto.Keystore.create ~bits:320 ~seed:21L ())
+
+let prop_journal_any_constant =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneof
+           [
+             string_size ~gen:char (int_range 0 8);
+             oneofl [ "Z\xc3\xbcrich"; "a\rb"; "\b\000\255" ];
+           ])
+        (oneof [ int; oneofl [ min_int; max_int; -1; 0 ] ]))
+  in
+  QCheck.Test.make
+    ~name:"persist: facts and certificates of any constant survive the journal"
+    ~count:(scale 40)
+    (QCheck.make ~print:QCheck.Print.(pair String.escaped int) gen)
+    (fun (s, i) ->
+      let ks = Lazy.force journal_keystore in
+      let head = Literal.make "member" [ Term.str s; Term.Int i ] in
+      match Crypto.Cert.issue ks (Rule.fact ~signer:[ "CA" ] head) with
+      | Error _ -> false
+      | Ok cert -> (
+          let entries =
+            Persist.Journal.
+              [ Cert cert; Fact (Rule.fact head); Done { id = 1 } ]
+          in
+          match Persist.Journal.parse (render_journal entries) with
+          | Ok ([ Persist.Journal.Cert c; _; _ ] as parsed) ->
+              render_journal parsed = render_journal entries
+              && Crypto.Cert.verify ks c = Ok ()
+          | Ok _ | Error _ -> false))
+
 (* ------------------------------------------------------------------ *)
 (* The text codecs against their references (Kernel_ref): the printer
    against [Format], hex against the recursive codec, the journal
@@ -1529,6 +1586,7 @@ let () =
             prop_journal_truncation_prefix;
             prop_journal_mutated_total;
             prop_journal_replay_idempotent;
+            prop_journal_any_constant;
             prop_journal_parse_reference;
             prop_journal_dir_reencodes;
           ] );

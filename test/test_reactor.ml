@@ -696,6 +696,51 @@ let test_dedup_bounded () =
   Alcotest.(check int) "length capped" 4 (Net.Dedup.length d);
   Alcotest.(check int) "evictions counted" 1 (Net.Dedup.evictions d)
 
+let test_dedup_sized_by_use () =
+  (* A ring costs what it holds, not what it may hold: most peers of a
+     large world receive a handful of envelopes, and every one that
+     receives any gets a ring. *)
+  let d = Net.Dedup.create ~cap:8192 in
+  let words = Obj.reachable_words (Obj.repr d) in
+  if words > 64 then
+    Alcotest.failf "an empty ring holds %d words (at most 64 expected)" words;
+  for i = 1 to 8192 do
+    Alcotest.(check bool) "below the cap nothing is evicted" false
+      (Net.Dedup.add d i)
+  done;
+  Alcotest.(check bool) "the cap still evicts" true (Net.Dedup.add d 8193);
+  Alcotest.(check bool) "oldest forgotten" false (Net.Dedup.mem d 1);
+  Alcotest.(check int) "length capped" 8192 (Net.Dedup.length d)
+
+(* Renaming apart uses fresh variable ids, so a negotiation interns no
+   variable name and no ground term that outlives it: after a warm-up
+   pass has seen every name and constant of the two paper scenarios,
+   another hundred negotiations leave both global tables as they were. *)
+let test_negotiations_intern_nothing () =
+  let pass () =
+    let s1 = Scenario.scenario1 ~key_bits:288 () in
+    let s2 = Scenario.scenario2 ~key_bits:288 () in
+    [
+      Reactor.negotiate s1.Scenario.s1_session ~requester:"Alice"
+        ~target:"E-Learn" (Scenario.scenario1_goal ());
+      Reactor.negotiate s2.Scenario.s2_session ~requester:"Bob"
+        ~target:"E-Learn" (Scenario.scenario2_goal_free ());
+      Reactor.negotiate s2.Scenario.s2_session ~requester:"Bob"
+        ~target:"E-Learn" (Scenario.scenario2_goal_paid ());
+    ]
+    |> List.iter (fun r ->
+           Alcotest.(check bool) "granted" true (granted r.Negotiation.outcome))
+  in
+  pass ();
+  let names = Term.named_var_count () and terms = Gterm.count () in
+  for _ = 1 to 34 do
+    pass ()
+  done;
+  Alcotest.(check int) "named variables after 102 negotiations" names
+    (Term.named_var_count ());
+  Alcotest.(check int) "ground terms after 102 negotiations" terms
+    (Gterm.count ())
+
 (* ------------------------------------------------------------------ *)
 (* Distributed tabling: cyclic policies terminate with complete answer
    sets; the answer cache refuses premature (incomplete) stores. *)
@@ -909,7 +954,19 @@ let test_crash_forever_denied () =
   check_crashed outcome;
   let snap = Pobs.Obs.snapshot () in
   Alcotest.(check int) "one crash executed" 1 (counter snap "reactor.crashes");
-  Alcotest.(check int) "no restart" 0 (counter snap "reactor.restarts")
+  Alcotest.(check int) "no restart" 0 (counter snap "reactor.restarts");
+  (* A victim crashing after the grant falls back to its boot wallet:
+     without a journal the certificates it learned were volatile. *)
+  let _, clean = run_s1_crash [] in
+  let outcome, crashed = run_s1_crash [ ("E-Learn", 7, max_int) ] in
+  Alcotest.(check bool) "granted before the crash" true (granted outcome);
+  let boot =
+    wallet_serials (Scenario.scenario1 ()).Scenario.s1_session "E-Learn"
+  in
+  Alcotest.(check bool) "the fault-free run learns certificates" true
+    (List.length (wallet_serials clean "E-Learn") > List.length boot);
+  Alcotest.(check (list int)) "victim rolled back to its boot wallet" boot
+    (wallet_serials crashed "E-Learn")
 
 let test_crash_restart_journal_recovers () =
   (* Crash + scheduled restart with the journal on: the negotiation
@@ -1758,7 +1815,11 @@ let () =
           tc "bad certs and bombs" test_guard_bad_cert_and_bomb;
           tc "denial classification" test_classify_guard_denials;
           tc "bounded dedup set" test_dedup_bounded;
+          tc "dedup ring sized by use" test_dedup_sized_by_use;
         ] );
+      ( "memory",
+        [ tc "negotiations intern nothing" test_negotiations_intern_nothing ]
+      );
       ( "crash",
         [
           tc "crash forever denied" test_crash_forever_denied;

@@ -441,6 +441,45 @@ let test_persist_garbage_program () =
   write_raw (world_file dir "owner" ".pt") "info(1 $ true.\nrule( <- junk";
   expect_bad_world ~substr:"6f776e6572.pt line" (Persist.load ~dir ())
 
+let test_persist_out_of_range_int () =
+  with_temp_dir @@ fun dir ->
+  ignore (saved_wallet_world dir);
+  write_raw (world_file dir "owner" ".pt")
+    "info(1) $ true.\np(99999999999999999999).";
+  expect_bad_world ~substr:"6f776e6572.pt line 2" (Persist.load ~dir ())
+
+(* Text the printer writes parses back: a certificate naming a
+   non-ASCII string ([\ddd] escapes) and a negative int, journalled with
+   a [done] entry, reads back and still verifies. *)
+let test_journal_printed_constants () =
+  let session = Session.create () in
+  let ks = session.Session.keystore in
+  let rule =
+    Parser.parse_rule
+      {|member("Z\195\188rich", -4611686018427387904) signedBy ["CA"].|}
+  in
+  Alcotest.(check string) "the escape spells the bytes" "Zürich"
+    (match rule.Rule.head.Literal.args with
+    | Term.Str s :: _ -> Sym.name s
+    | _ -> "");
+  match Peertrust_crypto.Cert.issue ks rule with
+  | Error _ -> Alcotest.fail "issue"
+  | Ok cert -> (
+      let j = Persist.Journal.in_memory () in
+      Persist.Journal.append j (Persist.Journal.Cert cert);
+      Persist.Journal.append j
+        (Persist.Journal.Fact (Parser.parse_rule {|p("a\rb", -5).|}));
+      Persist.Journal.append j (Persist.Journal.Done { id = 1 });
+      match Persist.Journal.entries j with
+      | Ok Persist.Journal.[ Cert c; Fact f; Done { id = 1 } ] ->
+          Alcotest.(check string) "certificate rule" (Rule.to_string rule)
+            (Rule.to_string c.Peertrust_crypto.Cert.rule);
+          Alcotest.(check bool) "certificate verifies" true
+            (Peertrust_crypto.Cert.verify ks c = Ok ());
+          Alcotest.(check string) "fact" {|p("a\rb", -5).|} (Rule.to_string f)
+      | Ok _ -> Alcotest.fail "journal entries changed"
+      | Error (Persist.Bad_world m) -> Alcotest.fail m)
+
 let test_persist_garbage_wallet () =
   with_temp_dir @@ fun dir ->
   let journal = saved_wallet_world dir in
@@ -620,12 +659,14 @@ let () =
           tc "fresh serials after load" test_persist_fresh_serials_after_load;
           tc "journal compaction" test_journal_compaction;
           tc "journal counters" test_journal_counters;
+          tc "journal of printed constants" test_journal_printed_constants;
         ] );
       ( "persist corruption",
         [
           tc "non-hex program name" test_persist_non_hex_name;
           tc "missing program" test_persist_missing_program;
           tc "garbage program" test_persist_garbage_program;
+          tc "out-of-range integer" test_persist_out_of_range_int;
           tc "garbage wallet" test_persist_garbage_wallet;
           tc "truncated wallet" test_persist_truncated_wallet;
           tc "non-canonical journal hex" test_journal_canonical_hex;
