@@ -22,6 +22,15 @@ trap 'rm -f "$metrics" "$cache_metrics" "$trace_a" "$trace_b"; rm -rf "$bench_di
   --metrics-out "$metrics" > /dev/null
 grep -q '"net.drops"' "$metrics"
 grep -q '"reactor.retries"' "$metrics"
+# Every signature check goes through the keystore, which runs RSA at most
+# once per check: the run must have run RSA, and checked at least as often.
+rsa=$(grep -o '"crypto.rsa_verifies":[0-9]*' "$metrics" | cut -d: -f2)
+checks=$(grep -o '"crypto.signature_checks":[0-9]*' "$metrics" | cut -d: -f2)
+if [ "${rsa:-0}" -eq 0 ] || [ "${checks:-0}" -lt "$rsa" ]; then
+  echo "chaos smoke: crypto.rsa_verifies ${rsa:-missing}," \
+    "crypto.signature_checks ${checks:-missing}" >&2
+  exit 1
+fi
 
 # Cache smoke: a cold + warm scenario pass over one session must record
 # cache hits in the exported metrics.

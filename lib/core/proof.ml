@@ -124,8 +124,11 @@ let verify session t =
   let msg =
     payload ~prover:t.prover ~goal:t.goal ~trace:t.trace ~certs:t.certs
   in
-  let pub = Crypto.Keystore.public session.Session.keystore t.prover in
-  if not (Crypto.Rsa.verify pub msg t.signature) then
+  if
+    not
+      (Crypto.Keystore.verify session.Session.keystore ~signer:t.prover msg
+         t.signature)
+  then
     Error Bad_package_signature
   else begin
     (* Every signed rule used must be certificate-backed and valid. *)

@@ -57,7 +57,7 @@ let verify ks ?(now = 0) t =
               match List.assoc_opt signer t.signatures with
               | None -> Error (Missing_signature signer)
               | Some s ->
-                  if Rsa.verify (Keystore.public ks signer) msg s then Ok ()
+                  if Keystore.verify ks ~signer msg s then Ok ()
                   else Error (Bad_signature signer))
         in
         List.fold_left check (Ok ()) signers

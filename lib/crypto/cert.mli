@@ -33,7 +33,14 @@ val issue :
     Unsigned_rule] when the rule lists no signers. *)
 
 val verify : Keystore.t -> ?now:int -> t -> (unit, error) result
-(** Check every signature, the validity window, and the revocation set. *)
+(** Check the revocation set, then the validity window at [now], then one
+    signature per listed signer over {!payload}, in that order, and
+    return the first failure.  Revocation and validity are checked on
+    every call, so a certificate verified once is [Revoked] after
+    {!Keystore.revoke} and [Expired] past [not_after].  Only the RSA
+    exponentiation is shared between calls: each signature goes through
+    {!Keystore.verify}, which runs RSA once per (signer, payload,
+    signature) it accepts and never records a rejected one. *)
 
 val payload : t -> string
 (** The signed byte string (canonical rule plus validity and serial). *)

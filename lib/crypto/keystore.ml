@@ -1,3 +1,6 @@
+let m_signature_checks = Peertrust_obs.Obs.counter "crypto.signature_checks"
+let m_rsa_verifies = Peertrust_obs.Obs.counter "crypto.rsa_verifies"
+
 type t = {
   bits : int;
   seed : int64;
@@ -5,6 +8,8 @@ type t = {
   mutable order : string list;  (* reverse generation order *)
   revoked : (int, unit) Hashtbl.t;
   mutable next_serial : int;
+  verified : (string * string, Bignum.t) Hashtbl.t;
+      (* (signer, signed bytes) -> the signature RSA accepted for them *)
 }
 
 let create ?(bits = 384) ~seed () =
@@ -15,6 +20,7 @@ let create ?(bits = 384) ~seed () =
     order = [];
     revoked = Hashtbl.create 16;
     next_serial = 1;
+    verified = Hashtbl.create 16;
   }
 
 let keypair t name =
@@ -35,6 +41,21 @@ let keypair t name =
 
 let public t name = (keypair t name).Rsa.public
 let known t name = Hashtbl.mem t.keys name
+
+(* A key never changes, so a signature RSA accepted once it accepts
+   again; the padding admits one valid signature per key and message,
+   so [verified] holds at most one entry per message our keys signed. *)
+let verify t ~signer msg signature =
+  Peertrust_obs.Metric.incr m_signature_checks;
+  let key = (signer, msg) in
+  match Hashtbl.find_opt t.verified key with
+  | Some s when Bignum.equal s signature -> true
+  | Some _ | None ->
+      Peertrust_obs.Metric.incr m_rsa_verifies;
+      let ok = Rsa.verify (public t signer) msg signature in
+      if ok then Hashtbl.replace t.verified key signature;
+      ok
+
 let revoke t ~serial = Hashtbl.replace t.revoked serial ()
 let is_revoked t ~serial = Hashtbl.mem t.revoked serial
 

@@ -126,11 +126,16 @@ let parse_string st =
             advance st;
             if st.pos + 4 > String.length st.src then fail st "bad \\u escape";
             let hex = String.sub st.src st.pos 4 in
+            (* Exactly four hex digits: [int_of_string] alone would also
+               take OCaml's [_] separators. *)
+            if
+              not
+                (String.for_all
+                   (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+                   hex)
+            then fail st "bad \\u escape";
             st.pos <- st.pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail st "bad \\u escape"
-            in
+            let code = int_of_string ("0x" ^ hex) in
             (* Only BMP code points below 0x80 are emitted by our writer;
                encode the rest as UTF-8. *)
             if code < 0x80 then Buffer.add_char buf (Char.chr code)

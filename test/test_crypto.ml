@@ -409,6 +409,8 @@ let test_cert_validity_window () =
   match Cert.issue ks ~not_before:10 ~not_after:20 rule with
   | Error e -> Alcotest.failf "issue failed: %a" Cert.pp_error e
   | Ok cert ->
+      (* Verified inside the window first: the keystore has then
+         recorded the signature, and the window is still checked. *)
       (match Cert.verify ks ~now:15 cert with
       | Ok () -> ()
       | Error e -> Alcotest.failf "in-window failed: %a" Cert.pp_error e);
@@ -425,10 +427,64 @@ let test_cert_revocation () =
   match Cert.issue ks rule with
   | Error e -> Alcotest.failf "issue failed: %a" Cert.pp_error e
   | Ok cert -> (
+      (* Verified before the revocation: a recorded signature does not
+         outlive its certificate's revocation. *)
+      Alcotest.(check bool) "valid before" true (Cert.verify ks cert = Ok ());
       Keystore.revoke ks ~serial:cert.Cert.serial;
       match Cert.verify ks cert with
       | Error (Cert.Revoked _) -> ()
       | _ -> Alcotest.fail "revoked cert accepted")
+
+let counter name =
+  Peertrust_obs.Registry.counter_value (Peertrust_obs.Obs.snapshot ()) name
+
+(* [f ()]'s result, and how far it moved [crypto.rsa_verifies] and
+   [crypto.signature_checks]. *)
+let rsa_moves f =
+  let rsa = counter "crypto.rsa_verifies"
+  and checks = counter "crypto.signature_checks" in
+  let r = f () in
+  (r, counter "crypto.rsa_verifies" - rsa, counter "crypto.signature_checks" - checks)
+
+let test_cert_rsa_once_per_signature () =
+  let ks = Keystore.create ~bits:320 ~seed:5L () in
+  let rule = parse_rule {|joint("X") signedBy ["A", "B"].|} in
+  match Cert.issue ks rule with
+  | Error e -> Alcotest.failf "issue failed: %a" Cert.pp_error e
+  | Ok cert ->
+      let check what expected (verdict, rsa, checks) (want_rsa, want_checks) =
+        Alcotest.(check bool) (what ^ ": verdict") true (verdict = expected);
+        Alcotest.(check int) (what ^ ": RSA verifies") want_rsa rsa;
+        Alcotest.(check int) (what ^ ": signature checks") want_checks checks
+      in
+      let verify c () = Cert.verify ks c in
+      check "first check" (Ok ()) (rsa_moves (verify cert)) (2, 2);
+      for _ = 1 to 3 do
+        check "repeated valid check" (Ok ()) (rsa_moves (verify cert)) (0, 2)
+      done;
+      (* A forged signature pays RSA on every check: a rejected one is
+         never recorded. *)
+      let forged =
+        {
+          cert with
+          Cert.signatures =
+            List.map
+              (fun (s, v) -> (s, if s = "B" then Bignum.add v Bignum.one else v))
+              cert.Cert.signatures;
+        }
+      in
+      for _ = 1 to 3 do
+        check "repeated forged check" (Error (Cert.Bad_signature "B"))
+          (rsa_moves (verify forged)) (1, 2)
+      done;
+      (* The keystore's check on its own, as Proof.verify uses it. *)
+      let msg = Cert.payload cert and sig_a = List.assoc "A" cert.Cert.signatures in
+      check "keystore: valid" true
+        (rsa_moves (fun () -> Keystore.verify ks ~signer:"A" msg sig_a)) (0, 1);
+      for _ = 1 to 2 do
+        check "keystore: another signer's key" false
+          (rsa_moves (fun () -> Keystore.verify ks ~signer:"B" msg sig_a)) (1, 1)
+      done
 
 let test_cert_payload_covers_validity () =
   let ks = Keystore.create ~bits:320 ~seed:5L () in
@@ -870,5 +926,6 @@ let () =
           tc "validity window" test_cert_validity_window;
           tc "revocation" test_cert_revocation;
           tc "payload covers validity" test_cert_payload_covers_validity;
+          tc "RSA once per valid signature" test_cert_rsa_once_per_signature;
         ] );
     ]

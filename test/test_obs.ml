@@ -296,6 +296,20 @@ let test_registry_reset_keeps_cells () =
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
+(* A \u escape is exactly four hex digits; OCaml's [_] digit separator,
+   a sign or a prefix is not JSON. *)
+let test_json_unicode_escape () =
+  let parses text = Json.of_string text in
+  Alcotest.(check bool)
+    "four digits, either case" true
+    (parses {|"\u000a\u004A\u004a"|} = Ok (Json.Str "\nJJ"));
+  List.iter
+    (fun text ->
+      match parses text with
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | Error _ -> ())
+    [ {|"\u00_a"|}; {|"\u0_0a"|}; {|"\u+00a"|}; {|"\u0x0a"|}; {|"\u00a"|}; {|"\u00g0"|} ]
+
 let test_metrics_json_roundtrip () =
   let r = Registry.create () in
   Metric.add (Registry.counter r "queries") 12;
@@ -956,6 +970,8 @@ let () =
           Alcotest.test_case "chrome trace_event export" `Quick
             test_chrome_export;
           Alcotest.test_case "causal JSONL export" `Quick test_causal_export;
+          Alcotest.test_case "unicode escapes are four hex digits" `Quick
+            test_json_unicode_escape;
         ] );
       ( "timeline",
         [

@@ -626,6 +626,85 @@ let prop_cert_roundtrip =
       | Ok cert -> Crypto.Cert.verify ks cert = Ok ()
       | Error _ -> false)
 
+(* A keystore records the signatures it has verified (Keystore.verify);
+   the record must change no verdict.  Two certificates, issued with
+   generated rules, signers and validity windows, and tampered copies
+   of the first: a signature off by one either way, the other's
+   signatures, its rule, a serial or window moved by one, a signer or a
+   signature dropped.  A keystore that has already checked every one of
+   them, and revoked some, gives each the verdict a fresh keystore of
+   the same seed gives, at a time inside or outside the windows. *)
+let gen_cert_case =
+  let open QCheck.Gen in
+  let gen_signers =
+    let* n = int_range 1 2 in
+    let* first = int_bound 2 in
+    return (List.init n (fun i -> Printf.sprintf "CA%d" ((first + i) mod 3)))
+  in
+  let gen_signed =
+    let* r = gen_rule in
+    let* signer = gen_signers in
+    let* not_before = int_bound 4 in
+    let* len = int_bound 6 in
+    return ({ r with Rule.signer }, not_before, not_before + len)
+  in
+  let* c1 = gen_signed and* c2 = gen_signed in
+  let* now = int_bound 12 in
+  let* revoke1 = bool and* revoke2 = bool in
+  return (c1, c2, now, revoke1, revoke2)
+
+let prop_verified_set_no_verdict =
+  let print ((r1, b1, a1), (r2, b2, a2), now, v1, v2) =
+    Printf.sprintf "%s [%d, %d]; %s [%d, %d]; now %d; revoked %b %b"
+      (Rule.to_string r1) b1 a1 (Rule.to_string r2) b2 a2 now v1 v2
+  in
+  QCheck.Test.make
+    ~name:"cert: a keystore that verified before gives a fresh one's verdicts"
+    ~count:(scale 20) (QCheck.make ~print gen_cert_case)
+    (fun ((r1, b1, a1), (r2, b2, a2), now, revoke1, revoke2) ->
+      let seed = 17L in
+      let warm = Crypto.Keystore.create ~bits:320 ~seed () in
+      let issue r not_before not_after =
+        Result.get_ok (Crypto.Cert.issue warm ~not_before ~not_after r)
+      in
+      let c1 = issue r1 b1 a1 and c2 = issue r2 b2 a2 in
+      let open Crypto.Cert in
+      let nudge f =
+        match c1.signatures with
+        | (s, v) :: rest -> { c1 with signatures = (s, f v) :: rest }
+        | [] -> c1
+      in
+      let drop_last l = List.filteri (fun i _ -> i < List.length l - 1) l in
+      let tampered =
+        [
+          nudge (fun v -> Crypto.Bignum.add v Crypto.Bignum.one);
+          nudge (fun v ->
+              if Crypto.Bignum.is_zero v then v
+              else Crypto.Bignum.sub v Crypto.Bignum.one);
+          { c1 with signatures = c2.signatures };
+          { c1 with rule = { c2.rule with Rule.signer = c1.rule.Rule.signer } };
+          { c1 with serial = c1.serial + 1 };
+          { c1 with not_before = c1.not_before - 1 };
+          { c1 with not_after = c1.not_after + 1 };
+          { c1 with rule = { c1.rule with Rule.signer = drop_last c1.rule.Rule.signer } };
+          { c1 with signatures = drop_last c1.signatures };
+        ]
+      in
+      let all = c1 :: c2 :: tampered in
+      (* Every original inside its window, then every certificate at
+         [now]: what the warm keystore records, it records here. *)
+      List.iter (fun c -> ignore (verify warm ~now:c.not_before c)) [ c1; c2 ];
+      List.iter (fun c -> ignore (verify warm ~now c)) all;
+      let fresh = Crypto.Keystore.create ~bits:320 ~seed () in
+      List.iter
+        (fun (revoked, c) ->
+          if revoked then
+            List.iter
+              (fun ks -> Crypto.Keystore.revoke ks ~serial:c.serial)
+              [ warm; fresh ])
+        [ (revoke1, c1); (revoke2, c2) ];
+      List.for_all (fun c -> verify warm ~now c = verify fresh ~now c) all)
+
 (* ------------------------------------------------------------------ *)
 (* Crypto kernels against the reference arithmetic in Kernel_ref *)
 
@@ -1564,6 +1643,7 @@ let () =
             prop_hex_roundtrip;
             prop_hex_canonical;
             prop_hex_reference;
+            prop_verified_set_no_verdict;
           ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
