@@ -39,21 +39,19 @@ module Journal = struct
     | Goal of { id : int; target : string; goal : Dlp.Literal.t }
     | Done of { id : int }
 
-  type sink = Disk of string | Memory of Buffer.t
-  type t = { sink : sink; mutable appends : int }
+  type t = Disk of string | Memory of Buffer.t
 
-  let in_memory () = { sink = Memory (Buffer.create 256); appends = 0 }
-  let on_disk path = { sink = Disk path; appends = 0 }
+  let in_memory () = Memory (Buffer.create 256)
+  let on_disk path = Disk path
 
   let for_peer ~dir ~peer =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     on_disk (Filename.concat dir (Crypto.Hex.encode peer ^ ".journal"))
 
-  let appends t = t.appends
-
   let m_reads = Peertrust_obs.Obs.counter "persist.reads"
   let m_rewrites = Peertrust_obs.Obs.counter "persist.rewrites"
   let m_bytes_written = Peertrust_obs.Obs.counter "persist.bytes_written"
+  let m_lines_decoded = Peertrust_obs.Obs.counter "persist.lines_decoded"
 
   (* One line per entry; every free-form field (peer names, literal
      text) is hex-armoured so newlines and spaces in the payload cannot
@@ -111,14 +109,25 @@ module Journal = struct
        && is_blank text (i + 1) j
 
   let hex_of text i j = Crypto.Hex.decode_sub text ~pos:i ~len:(j - i)
-  let int_of text i j = int_of_string_opt (String.sub text i (j - i))
+
+  (* The decoder accepts exactly what [add_line] writes, so an entry has
+     one text: an id is what [string_of_int] prints, and a literal or
+     rule payload is the printer's text of its own parse (as a
+     certificate's [rule:] line is, see [Wire]). *)
+  let int_of text i j =
+    let s = String.sub text i (j - i) in
+    match int_of_string_opt s with
+    | Some n when String.equal (string_of_int n) s -> Some n
+    | _ -> None
 
   let literal_of_hex text i j =
     match hex_of text i j with
     | None -> Error "bad hex"
     | Some s -> (
         match Dlp.Parser.parse_literal s with
-        | lit -> Ok lit
+        | lit ->
+            if String.equal (Dlp.Literal.to_string lit) s then Ok lit
+            else Error "not in printed form"
         | exception Dlp.Parser.Error (m, _, _) -> Error m
         | exception _ -> Error "unparseable literal")
 
@@ -129,8 +138,9 @@ module Journal = struct
     | Some k -> split text (k + 1) j c ((i, k) :: acc)
     | None -> List.rev ((i, j) :: acc)
 
-  let parse_line text i j =
+  let decode_line text i j =
     let ( let* ) = Result.bind in
+    Metric.incr m_lines_decoded;
     match split text i j ' ' [] with
     | [] -> Error "unrecognised entry"
     | (t, u) :: fields -> (
@@ -147,7 +157,9 @@ module Journal = struct
             | None -> Error "fact: bad hex"
             | Some rule -> (
                 match Dlp.Parser.parse_rule rule with
-                | r -> Ok (Fact r)
+                | r ->
+                    if String.equal (Dlp.Rule.to_string r) rule then Ok (Fact r)
+                    else Error "fact: not in printed form"
                 | exception Dlp.Parser.Error (m, _, _) -> Error ("fact: " ^ m)
                 | exception _ -> Error "fact: unparseable rule"))
         | "answer", [ (p, q); (g, h); (s, e) ] -> (
@@ -194,6 +206,48 @@ module Journal = struct
             | None -> Error "done: bad id")
         | _, _ -> Error "unrecognised entry")
 
+  (* Every [cert] and [fact] line that decoded, by its exact bytes, for
+     the whole process: the same certificates and facts recur in every
+     journal that learned them, whichever handle reads it.  Decoding is a
+     pure function of the bytes and entries are immutable, so a hit is
+     what a fresh decode would give.  Only lines that decoded are held: a
+     damaged line is decoded, and refused, every time it is read. *)
+  let decoded : (string, entry) Hashtbl.t = Hashtbl.create 256
+
+  let tabled text i j =
+    j - i > 5
+    && match String.sub text i 5 with "cert " | "fact " -> true | _ -> false
+
+  let parse_line text i j =
+    if tabled text i j then begin
+      let line = String.sub text i (j - i) in
+      match Hashtbl.find_opt decoded line with
+      | Some e -> Ok e
+      | None ->
+          let r = decode_line text i j in
+          Result.iter (Hashtbl.add decoded line) r;
+          r
+    end
+    else decode_line text i j
+
+  (* The first newline in [text] at or after [i].  Once lines are
+     looked up rather than decoded, finding where they end is most of a
+     read, so eight bytes are tested at a time: after the xor, a word
+     holds a newline exactly when [(w - 0x01..01) land (lnot w)] has a
+     high bit set in some byte, and the byte search then finds it. *)
+  let rec newline_from text i =
+    if i + 8 > String.length text then String.index_from_opt text i '\n'
+    else
+      let w = Int64.logxor (String.get_int64_le text i) 0x0a0a0a0a0a0a0a0aL in
+      let high =
+        Int64.(
+          logand
+            (logand (sub w 0x0101010101010101L) (lognot w))
+            0x8080808080808080L)
+      in
+      if Int64.equal high 0L then newline_from text (i + 8)
+      else String.index_from_opt text i '\n'
+
   (* Total over arbitrary bytes.  The final segment without a trailing
      newline is a torn tail — the write the crash interrupted — and is
      dropped; so is an unparseable {e last} complete line (a flush can
@@ -201,7 +255,7 @@ module Journal = struct
      is not crash-shaped and comes back as a line-numbered error. *)
   let parse text =
     let rec go acc lineno i =
-      match String.index_from_opt text i '\n' with
+      match newline_from text i with
       | None -> Ok (List.rev acc)
       | Some j when is_blank text i j -> go acc (lineno + 1) (j + 1)
       | Some j -> (
@@ -218,12 +272,12 @@ module Journal = struct
 
   let append t entry =
     let start, buf =
-      match t.sink with
+      match t with
       | Memory b -> (Buffer.length b, b)
       | Disk _ -> (0, Buffer.create 256)
     in
     add_line buf entry;
-    (match t.sink with
+    (match t with
     | Memory _ -> ()
     | Disk path ->
         let oc =
@@ -234,11 +288,10 @@ module Journal = struct
           (fun () ->
             Buffer.output_buffer oc buf;
             flush oc));
-    Metric.add m_bytes_written (Buffer.length buf - start);
-    t.appends <- t.appends + 1
+    Metric.add m_bytes_written (Buffer.length buf - start)
 
   let contents t =
-    match t.sink with
+    match t with
     | Memory b -> Buffer.contents b
     | Disk path -> if Sys.file_exists path then read_file path else ""
 
@@ -248,14 +301,14 @@ module Journal = struct
 
   let rewrite t entries =
     let buf =
-      match t.sink with
+      match t with
       | Memory b ->
           Buffer.clear b;
           b
       | Disk _ -> Buffer.create 4096
     in
     List.iter (add_line buf) entries;
-    (match t.sink with
+    (match t with
     | Memory _ -> ()
     | Disk path -> write_file path (fun oc -> Buffer.output_buffer oc buf));
     Metric.incr m_rewrites;

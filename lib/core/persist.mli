@@ -59,11 +59,30 @@ val pp_error : Format.formatter -> error -> unit
     stream is not crash-shaped and surfaces as a line-numbered
     {!error}.
 
+    Each entry has exactly one text: the decoder accepts only what
+    {!append} writes (an id as [string_of_int] prints it, a rule or
+    literal as its printer writes its own parse, a certificate as
+    [Wire.encode] does), so equal entries are exactly those with equal
+    lines.
+
+    Decoding is paid once per distinct line per process.  One
+    process-wide table maps the exact bytes of every [cert] and [fact]
+    line that decoded to its entry, and {!parse} (so {!entries}, and
+    through them {!load} and every reactor read) runs the decoder only
+    on lines the table does not hold.  Entries are immutable and may be
+    shared between reads: a hit is the value a fresh decode of those
+    bytes gives.  A line that does not decode is never held, so a
+    damaged line is decoded and refused on every read.  The table holds
+    the distinct certificate and fact lines the process has decoded,
+    with their entries, and is never emptied.
+
     Every journal counts what its I/O cost scales with, in the global
     metrics registry: [persist.reads] ({!entries} calls),
-    [persist.rewrites] ({!rewrite} and {!reset} calls) and
-    [persist.bytes_written] (bytes appended or rewritten), for memory
-    and disk sinks alike. *)
+    [persist.rewrites] ({!rewrite} and {!reset} calls),
+    [persist.bytes_written] (bytes appended or rewritten) and
+    [persist.lines_decoded] (lines the decoder ran on: every line a read
+    met that the table did not answer), for memory and disk sinks
+    alike. *)
 module Journal : sig
   type entry =
     | Cert of Peertrust_crypto.Cert.t  (** a credential learned *)
@@ -98,10 +117,14 @@ module Journal : sig
   (** Parse the journal back.  Torn-tail tolerant: the trailing
       unterminated or unparseable last line is dropped ([Ok] of the
       usable prefix); damage on an earlier line is a line-numbered
-      [Bad_world].  Never raises. *)
+      [Bad_world].  Never raises.  Costs a read of the whole journal
+      and a {!parse} of it. *)
 
   val parse : string -> (entry list, error) result
-  (** {!entries} over raw text (exposed for durability tests). *)
+  (** {!entries} over raw text (exposed for durability tests).  Linear
+      in the text: a [cert] or [fact] line the process has decoded
+      before costs a search for its end (eight bytes at a time), a copy
+      and a hash of its bytes, and only the other lines are decoded. *)
 
   val contents : t -> string
   (** Raw journal bytes as currently stored. *)
@@ -122,10 +145,6 @@ module Journal : sig
       earlier one (equal entries are exactly those with equal journal
       lines); the rest keep their order.  Linear in the journal length:
       a hash set, not a list scan. *)
-
-  val appends : t -> int
-  (** Appends since creation (feeds the [reactor.checkpoints]
-      counter). *)
 
   val replay_peer : Peer.t -> entry list -> unit
   (** Re-learn [Cert] and [Fact] entries into a peer.  Idempotent —

@@ -270,12 +270,20 @@ let hex_decode h =
 
 module Journal = Peertrust.Persist.Journal
 
+(* One text per entry: an id is what [string_of_int] prints, and a
+   payload is the printer's text of its own parse. *)
+let id_of s =
+  match int_of_string_opt s with
+  | Some n when string_of_int n = s -> Some n
+  | _ -> None
+
 let literal_of_hex h =
   match hex_decode h with
   | None -> Error "bad hex"
   | Some s -> (
       match Dlp.Parser.parse_literal s with
-      | lit -> Ok lit
+      | lit when Dlp.Literal.to_string lit = s -> Ok lit
+      | _ -> Error "not in printed form"
       | exception Dlp.Parser.Error (m, _, _) -> Error m
       | exception _ -> Error "unparseable literal")
 
@@ -294,7 +302,8 @@ let journal_line line : (Journal.entry, string) result =
       | None -> Error "fact: bad hex"
       | Some text -> (
           match Dlp.Parser.parse_rule text with
-          | r -> Ok (Journal.Fact r)
+          | r when Dlp.Rule.to_string r = text -> Ok (Journal.Fact r)
+          | _ -> Error "fact: not in printed form"
           | exception Dlp.Parser.Error (m, _, _) -> Error ("fact: " ^ m)
           | exception _ -> Error "fact: unparseable rule"))
   | [ "answer"; owner_hex; goal_hex; insts ] -> (
@@ -321,7 +330,7 @@ let journal_line line : (Journal.entry, string) result =
           in
           Ok (Journal.Answer { owner; goal; instances }))
   | [ "goal"; id; target_hex; goal_hex ] -> (
-      match (int_of_string_opt id, hex_decode target_hex) with
+      match (id_of id, hex_decode target_hex) with
       | Some id, Some target ->
           let* goal =
             Result.map_error (fun m -> "goal: " ^ m) (literal_of_hex goal_hex)
@@ -330,7 +339,7 @@ let journal_line line : (Journal.entry, string) result =
       | None, _ -> Error "goal: bad id"
       | _, None -> Error "goal: bad target hex")
   | [ "done"; id ] -> (
-      match int_of_string_opt id with
+      match id_of id with
       | Some id -> Ok (Journal.Done { id })
       | None -> Error "done: bad id")
   | _ -> Error "unrecognised entry"

@@ -1538,6 +1538,95 @@ let prop_journal_parse_reference =
           String.equal m m'
       | _, _ -> false)
 
+(* The lines a read decodes when every certificate and fact line that
+   decodes is already in the table: the complete non-blank lines up to
+   the first one the reference refuses, less those. *)
+let warm_decodes text =
+  let complete =
+    match List.rev (String.split_on_char '\n' text) with
+    | _torn_tail :: rev -> List.rev rev
+    | [] -> []
+  in
+  let rec go n = function
+    | [] -> n
+    | line :: rest when String.trim line = "" -> go n rest
+    | line :: rest -> (
+        match Kernel_ref.journal_line line with
+        | Ok (Persist.Journal.Cert _ | Persist.Journal.Fact _) -> go n rest
+        | Ok _ -> go (n + 1) rest
+        | Error _ -> n + 1)
+  in
+  go 0 complete
+
+(* The byte offsets inside the payloads of [text]'s certificate and fact
+   lines. *)
+let tabled_payload_bytes text =
+  let lines = String.split_on_char '\n' text in
+  let rec go acc start = function
+    | [] -> List.rev acc
+    | line :: rest ->
+        let acc =
+          if
+            String.starts_with ~prefix:"cert " line
+            || String.starts_with ~prefix:"fact " line
+          then
+            List.rev_append
+              (List.init (String.length line - 5) (fun k -> start + 5 + k))
+              acc
+          else acc
+        in
+        go acc (start + String.length line + 1) rest
+  in
+  go [] 0 lines
+
+let prop_journal_warm_read =
+  let same text =
+    match (Persist.Journal.parse text, Kernel_ref.journal_parse text) with
+    | Ok a, Ok b -> render_journal a = render_journal b
+    | Error (Persist.Bad_world m), Error (Persist.Bad_world m') ->
+        String.equal m m'
+    | _, _ -> false
+  in
+  let decoded = Peertrust_obs.Obs.counter "persist.lines_decoded" in
+  let hex = "0123456789abcdef" in
+  QCheck.Test.make
+    ~name:"persist: a warm journal read equals a cold one"
+    ~count:(scale 300)
+    (QCheck.make
+       ~print:(fun ((entries, ds), (at, step)) ->
+         Printf.sprintf "%s\nbyte %d + %d\n%s"
+           (String.concat "; " (List.map print_damage ds))
+           at step
+           (String.escaped (render_journal entries)))
+       QCheck.Gen.(
+         pair
+           (pair
+              (list_size (int_range 0 8) gen_journal_entry)
+              (list_size (int_range 0 2) gen_damage))
+           (pair nat (int_range 1 15))))
+    (fun ((entries, ds), (at, step)) ->
+      let text = List.fold_left damage (render_journal entries) ds in
+      let cold = same text in
+      let before = Peertrust_obs.Metric.value decoded in
+      let warm = same text in
+      let warm_cost = Peertrust_obs.Metric.value decoded - before in
+      (* One byte changed inside a certificate or fact line, which the
+         reads above decoded unless it follows a refused line: a hex
+         digit to another one, anything else to a digit. *)
+      let changed =
+        match tabled_payload_bytes text with
+        | [] -> text
+        | spots ->
+            let i = List.nth spots (at mod List.length spots) in
+            let c =
+              match String.index_opt hex text.[i] with
+              | Some d -> hex.[(d + step) mod 16]
+              | None -> '0'
+            in
+            splice text i 1 (String.make 1 c)
+      in
+      cold && warm && warm_cost = warm_decodes text && same changed)
+
 let with_temp_dir f =
   let dir = Filename.temp_file "ptjournal" ".d" in
   Sys.remove dir;
@@ -1668,6 +1757,7 @@ let () =
             prop_journal_replay_idempotent;
             prop_journal_any_constant;
             prop_journal_parse_reference;
+            prop_journal_warm_read;
             prop_journal_dir_reencodes;
           ] );
       ( "tabling",

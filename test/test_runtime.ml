@@ -550,6 +550,40 @@ let test_journal_canonical_hex () =
   | Error _ -> Alcotest.fail "intact journal refused");
   expect_bad_world ~substr:"journal line 2" (J.parse journal)
 
+(* An entry has one text: an id or a payload spelled other than the
+   encoder writes it, followed by one more line, is damage on line 1,
+   not a second text of the entry. *)
+let test_journal_one_text () =
+  let module J = Persist.Journal in
+  let hex = Peertrust_crypto.Hex.encode in
+  let parse line = J.parse (line ^ "\ndone 1\n") in
+  let accepted line =
+    match parse line with
+    | Ok [ _; J.Done { id = 1 } ] -> ()
+    | Ok _ -> Alcotest.failf "%S read back as other entries" line
+    | Error (Persist.Bad_world m) -> Alcotest.failf "%S refused: %s" line m
+  in
+  let refused line = expect_bad_world ~substr:"journal line 1: " (parse line) in
+  let goal id l = Printf.sprintf "goal %s %s %s" id (hex "o") (hex l) in
+  let answer g i = Printf.sprintf "answer %s %s %s" (hex "o") (hex g) (hex i) in
+  List.iter accepted
+    [
+      "done 16"; "done -16"; goal "2" "r(1)"; "fact " ^ hex "q(1).";
+      "fact " ^ hex {|enrolled("a") @ "p".|}; answer "r(1)" "r(1)";
+    ];
+  List.iter refused
+    [
+      "done 0x10"; "done 1_6"; "done +16"; "done 0b10000"; "done 016";
+      "done -0"; goal "0x2" "r(1)"; "fact " ^ hex "q( 1 ).";
+      "fact " ^ hex {|enrolled("a")@"p".  % c|}; goal "2" "r( 1 )";
+      answer "r( 1 )" "r(1)"; answer "r(1)" "r( 1 )";
+    ];
+  (* Compaction dedups by entry: two spellings of one fact were two
+     lines and one entry. *)
+  expect_bad_world ~substr:"journal line 2: "
+    (J.parse
+       ("fact " ^ hex "q(1)." ^ "\nfact " ^ hex "q( 1 )." ^ "\ndone 1\n"))
+
 let test_journal_compaction () =
   (* Hashed compaction keeps exactly what the list-based dedup it
      replaced kept: settled roots' Goal/Done pairs go, repeated entries
@@ -631,6 +665,53 @@ let test_journal_counters () =
     "disk sink" [ 3; 2; 33 ]
     (counts (J.for_peer ~dir ~peer:"p"))
 
+(* [persist.lines_decoded] counts the lines a read decodes.  A
+   certificate and a fact line the process has not met are decoded on
+   the first read and answered from the table on the second; the [done]
+   line is decoded every time.  A copy whose [cert] line differs in one
+   hex digit is decoded, and refused, on every read. *)
+let test_journal_lines_decoded () =
+  let module J = Persist.Journal in
+  let ks = Peertrust_crypto.Keystore.create ~bits:320 ~seed:23L () in
+  let cert =
+    match
+      Peertrust_crypto.Cert.issue ks
+        (Parser.parse_rule {|decoded("lines") @ "CA" signedBy ["CA"].|})
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "issue"
+  in
+  let j = J.in_memory () in
+  List.iter (J.append j)
+    [
+      J.Cert cert; J.Fact (Parser.parse_rule {|decoded("lines", 1).|});
+      J.Done { id = 1 };
+    ];
+  let decoded = Peertrust_obs.Obs.counter "persist.lines_decoded" in
+  let cost f =
+    let before = Peertrust_obs.Metric.value decoded in
+    let r = f () in
+    (r, Peertrust_obs.Metric.value decoded - before)
+  in
+  let read () =
+    match J.entries j with
+    | Ok es -> List.length es
+    | Error (Persist.Bad_world m) -> Alcotest.fail m
+  in
+  Alcotest.(check (pair int int)) "first read: 3 entries, 3 lines" (3, 3)
+    (cost read);
+  Alcotest.(check (pair int int)) "second read: 3 entries, 1 line" (3, 1)
+    (cost read);
+  (* The line opens with the hex of "-----BEGIN": "2d" becomes "3d". *)
+  let text = J.contents j in
+  Alcotest.(check string) "cert line" "cert 2d" (String.sub text 0 7);
+  let damaged = "cert 3" ^ String.sub text 6 (String.length text - 6) in
+  for _ = 1 to 2 do
+    let result, lines = cost (fun () -> J.parse damaged) in
+    expect_bad_world ~substr:"journal line 1: cert" result;
+    Alcotest.(check int) "the damaged line is decoded" 1 lines
+  done
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "runtime"
@@ -664,6 +745,7 @@ let () =
           tc "fresh serials after load" test_persist_fresh_serials_after_load;
           tc "journal compaction" test_journal_compaction;
           tc "journal counters" test_journal_counters;
+          tc "journal lines decoded once" test_journal_lines_decoded;
           tc "journal of printed constants" test_journal_printed_constants;
         ] );
       ( "persist corruption",
@@ -675,5 +757,6 @@ let () =
           tc "garbage wallet" test_persist_garbage_wallet;
           tc "truncated wallet" test_persist_truncated_wallet;
           tc "non-canonical journal hex" test_journal_canonical_hex;
+          tc "one text per journal entry" test_journal_one_text;
         ] );
     ]
